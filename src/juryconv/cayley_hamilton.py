@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .conv_core import ConvMatrix, add, conv, conv_identity, scale
+from .conv_core import ConvMatrix, conv, nilpotent_part
 from .numerics import RATIONAL
 from .partitions import elementary_sum
 from .transforms import Poly, poly_transform
@@ -72,7 +72,7 @@ def tightness_witness(rows: int, cols: int) -> ConvMatrix:
     drop below M+N-1 for the shape.
     """
     ones = ConvMatrix.from_rows([[1] * cols for _ in range(rows)], RATIONAL)
-    return add(ones, scale(-1, conv_identity(rows, cols, RATIONAL)))
+    return nilpotent_part(ones)
 
 
 def _criterion_degree(a: ConvMatrix, threshold: float) -> int:
@@ -102,7 +102,7 @@ def _criterion_degree(a: ConvMatrix, threshold: float) -> int:
 def _nilpotency_degree(a: ConvMatrix, threshold: float):
     """First kappa with (A - a00 I)^kappa = 0, plus a nonvanishing witness."""
     d = a.rows + a.cols - 1
-    base = add(a, scale(-a.data[0][0], conv_identity(a.rows, a.cols, a.scalar)))
+    base = nilpotent_part(a)
     power = base
     witness = None
     for kappa in range(1, d + 1):

@@ -1,7 +1,9 @@
 """Command-line surface wiring the library into reproducible experiments.
 
 Exit-code contract: 0 when every expectation is met, 1 when an
-expectation is violated, 2 on usage or parse errors.  For the
+expectation is violated, 2 on usage, parse or library errors (an
+enumeration or series budget overrun included), reported as one
+``error:`` line on stderr.  For the
 necessity-direction experiments a found counterexample IS the
 expectation (the manifest below declares which suites expect one), so
 those report exit code 0 when the violation shows up.  Every report
@@ -24,7 +26,7 @@ from . import positivity
 from .cayley_hamilton import ch_check, format_minimal_polynomial, minimal_polynomial, tightness_witness
 from .conv_core import ConvMatrix, conv, conv_power_naive
 from .numerics import RATIONAL, ScalarError
-from .partitions import IndexGrid, enumerate_partitions
+from .partitions import EnumerationLimitError, IndexGrid, enumerate_partitions
 from .probgrid import (
     GridDistribution,
     brute_force_sum_law,
@@ -42,7 +44,12 @@ from .positivity import (
     preserver_test,
     schoenberg_h_counterexample,
 )
-from .transforms import FunctionSpec, smooth_transform, stepped_transform
+from .transforms import (
+    FunctionSpec,
+    SeriesDivergenceError,
+    smooth_transform,
+    stepped_transform,
+)
 
 # Which suites treat a found violation as the expected outcome.
 SUITE_EXPECTATIONS = {
@@ -501,7 +508,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except (ScalarError, ValueError) as exc:
+    except (ScalarError, ValueError, EnumerationLimitError, SeriesDivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

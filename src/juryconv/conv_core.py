@@ -10,14 +10,18 @@ The multiplicative identity has a single 1 at (0, 0).  A matrix is
 invertible exactly when its (0, 0) entry is nonzero; both inverse
 constructions (back-substitution along anti-diagonals, and the closed
 form derived from the degree-(M+N-1) annihilating polynomial) live
-here.  The product is deliberately defined only for equal shapes --
-the padded, shape-growing convolution belongs to :mod:`juryconv.probgrid`.
+here.  So does :func:`ring_taylor`, the Horner kernel for polynomials in
+the nilpotent part G = A - a00 I, which serves the closed-form inverse
+and the functional calculus.  The product is deliberately defined only
+for equal shapes -- the padded, shape-growing convolution belongs to
+:mod:`juryconv.probgrid`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -405,27 +409,54 @@ def conv_inverse_recursive(a: ConvMatrix) -> ConvMatrix:
 
 
 def conv_inverse_ch(a: ConvMatrix) -> ConvMatrix:
-    """Closed-form inverse from the degree-(M+N-1) annihilating polynomial:
+    """Closed-form inverse from the degree-(M+N-1) annihilating polynomial.
 
-        A^(-1) = - sum_{j=1}^{M+N-1} C(M+N-1, j) (-1/a00)^j A^(j-1)
+    (A - a00 I)^(M+N-1) = 0, so with G = A - a00 I the geometric series
+    for A = a00 (I + G/a00) terminates:
 
-    (powers under convolution).  Agrees exactly with the recursive
-    construction on the rational backend.
+        A^(-1) = a00^(-1) sum_{k=0}^{M+N-2} (-G/a00)^k
+
+    (powers under convolution), evaluated by Horner in G.  Agrees exactly
+    with the recursive construction on the rational backend.
     """
     _check_invertible(a)
-    d = a.rows + a.cols - 1
     a00 = a.data[0][0]
-    neg_inv = (Fraction(-1) / a00) if a.scalar == RATIONAL else (-1.0 / a00)
-    result = ConvMatrix.zeros(a.rows, a.cols, a.scalar)
-    power = conv_identity(a.rows, a.cols, a.scalar)  # A^(j-1), starting at j=1
-    coeff_scalar = neg_inv
-    for j in range(1, d + 1):
-        term = scale(numerics.binomial(d, j), power)
-        result = add(result, scale(coeff_scalar, term))
-        if j < d:
-            power = conv(power, a)
-            coeff_scalar = coeff_scalar * neg_inv
-    return scale(-1, result)
+    inv00 = (Fraction(1) / a00) if a.scalar == RATIONAL else (1.0 / a00)
+    series = ring_taylor([1] * (a.rows + a.cols - 1), scale(-inv00, nilpotent_part(a)))
+    return scale(inv00, series)
+
+
+def nilpotent_part(a: ConvMatrix) -> ConvMatrix:
+    """G = A - a00 I: the matrix with its (0, 0) entry zeroed.
+
+    G^(<>l) vanishes for l >= M+N-1, since every entry of a product of l
+    factors sums l indices of the punctured grid.
+    """
+    first = (numerics.zero(a.scalar),) + a.data[0][1:]
+    return ConvMatrix(a.rows, a.cols, (first,) + a.data[1:], a.scalar)
+
+
+def ring_taylor(coeffs: Iterable, g: ConvMatrix) -> ConvMatrix:
+    """sum_l coeffs[l] G^(<>l) for G with zero (0, 0) entry, by Horner.
+
+    Powers of order M+N-1 and above vanish, so only the first M+N-1
+    coefficients are read and at most M+N-2 products are taken.
+    Coefficients are coerced to G's backend: on the rational backend they
+    must be exact (ints, Fractions or "p/q" strings).
+    """
+    if g.data[0][0] != 0:
+        raise ValueError(f"ring_taylor needs a zero (0, 0) entry, got {g.data[0][0]!r}")
+    cs = [numerics.coerce(c, g.scalar)
+          for c in itertools.islice(coeffs, g.rows + g.cols - 1)]
+    if not cs:
+        return ConvMatrix.zeros(g.rows, g.cols, g.scalar)
+    result = scale(cs[-1], conv_identity(g.rows, g.cols, g.scalar))
+    for c in reversed(cs[:-1]):
+        # (R <> G)[0, 0] = 0, so adding c I sets the origin entry to c.
+        prod = conv(result, g)
+        first = (c,) + prod.data[0][1:]
+        result = ConvMatrix(g.rows, g.cols, (first,) + prod.data[1:], g.scalar)
+    return result
 
 
 def matrices_close(a: ConvMatrix, b: ConvMatrix, tol: float = 1e-12) -> bool:

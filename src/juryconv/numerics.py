@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Union
 
 RATIONAL = "rational"
@@ -22,26 +21,15 @@ BACKENDS = (RATIONAL, COMPLEX)
 
 Scalar = Union[Fraction, complex]
 
-# Factorials at or below this are memoized; larger arguments fall back to a
-# direct big-integer product.
-FACTORIAL_CACHE_CAP = 64
-
 
 class ScalarError(ValueError):
     """Non-finite float, unknown backend, or malformed scalar encoding."""
-
-
-@lru_cache(maxsize=None)
-def _factorial_cached(n: int) -> int:
-    return math.factorial(n)
 
 
 def factorial(n: int) -> int:
     """Exact n! as a big integer."""
     if n < 0:
         raise ValueError(f"factorial of negative argument {n}")
-    if n <= FACTORIAL_CACHE_CAP:
-        return _factorial_cached(n)
     return math.factorial(n)
 
 
@@ -166,16 +154,3 @@ def is_zero_scalar(value: Scalar, backend: str, tol: float = 0.0) -> bool:
     if backend == RATIONAL:
         return value == 0
     return abs(complex(value)) <= tol
-
-
-def real_part(value: Scalar) -> float:
-    """Real part of a scalar as a float (used where a real point is required)."""
-    if isinstance(value, Fraction):
-        return float(value)
-    return complex(value).real
-
-
-def imag_part(value: Scalar) -> float:
-    if isinstance(value, Fraction):
-        return 0.0
-    return complex(value).imag

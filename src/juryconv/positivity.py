@@ -13,18 +13,15 @@ exact step-size counterexample for x^2, and the fractional-power study.
 
 Every randomized search is seeded and reports enough configuration to
 replay it bit for bit.  Trials are independent; each draws its own RNG
-stream keyed by (seed, trial index), so reports do not depend on the
-worker count (JURYCONV_THREADS caps the thread pool).
+stream keyed by (seed, trial index).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -131,23 +128,6 @@ def sample_psd(n: int, interval: Interval = Interval(1.0), rng=0) -> ConvMatrix:
     return ConvMatrix.from_numpy(gram)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("JURYCONV_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_trials(count: int, fn: Callable[[int], object]) -> list:
-    """Run fn over trial indices; results ordered by index regardless of pool."""
-    workers = _worker_count()
-    if workers <= 1:
-        return [fn(t) for t in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 # ----------------------------------------------------------------------
 # closure of the PSD cone under convolution
 # ----------------------------------------------------------------------
@@ -193,7 +173,7 @@ def jury_closure_test(n: int, trials: int = 200, rng_seed: int = 0,
             }
         return verdict.min_eigenvalue, record
 
-    results = _map_trials(trials, one)
+    results = [one(t) for t in range(trials)]
     violations = [rec for _, rec in results if rec is not None]
     return ClosureReport(
         theorem="psd-closure-under-convolution",
@@ -294,7 +274,7 @@ def preserver_test(f: FunctionSpec, n: int, interval: Interval = Interval(1.0),
                     })
         return recs, rows
 
-    results = _map_trials(trials, one)
+    results = [one(t) for t in range(trials)]
     violations = [r for recs, _ in results for r in recs]
     stepped_rows = [r for _, rows in results for r in rows]
     return PreserverReport(

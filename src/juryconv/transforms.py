@@ -1,16 +1,20 @@
 """Convolution-compatible functional calculus.
 
-A scalar function f acts on an M x N matrix through the partition
-expansion: entry (0, 0) becomes f(a00) and entry (i, j) becomes
+Every M x N matrix is A = a00 I + G with G nilpotent, G^(<>(M+N-1)) = 0,
+so a scalar function f acts on A through its Taylor sum in G:
 
-    sum_{l=1}^{i+j} f^(l)(a00) * E_l(A, i, j)
+    f(A) = sum_{l=0}^{M+N-2} f^(l)(a00) / l! * G^(<>l),
 
-with E_l the elementary partition sums of :mod:`juryconv.partitions`.
-This extension is multiplicative for the convolution product, which is
-what makes it the right analogue of the functional and entrywise
-calculi for this ring.  A step-size variant replaces the derivatives by
-divided differences, so the transform applies to functions with no
-assumed regularity; as the step shrinks it recovers the smooth version.
+evaluated by Horner with :func:`juryconv.conv_core.ring_taylor`.  Entry
+(i, j) of G^(<>l) / l! is the elementary partition sum E_l(A, i, j) of
+:mod:`juryconv.partitions`; those sums stay as the independent oracle
+the tests compare against.  This extension is multiplicative for the
+convolution product, which is what makes it the right analogue of the
+functional and entrywise calculi for this ring.  A step-size variant
+replaces the derivatives by divided differences, so the transform
+applies to functions with no assumed regularity; as the step shrinks it
+recovers the smooth version.  The two modes of :func:`poly_transform`
+are independent routes: powers of A, against the Taylor sum in G.
 
 The module also hosts the bivariate-series matrix for real powers:
 entry (i, j) is i! j! times the x^i y^j coefficient of F(x, y)^alpha,
@@ -33,9 +37,10 @@ from .conv_core import (
     add,
     conv,
     conv_identity,
+    nilpotent_part,
+    ring_taylor,
     scale,
 )
-from .partitions import elementary_sum
 
 
 class DomainError(ValueError):
@@ -336,8 +341,9 @@ def poly_transform(p, a: ConvMatrix, mode: str = SUM_OF_POWERS) -> ConvMatrix:
     """Action of a polynomial on a matrix in the convolution ring.
 
     ``sum_of_powers`` evaluates c0 I + c1 A + c2 A<>A + ... directly;
-    ``partition_formula`` goes through the derivative/partition
-    expansion.  The two agree exactly on the rational backend.
+    ``partition_formula`` goes through the derivative expansion of
+    :func:`smooth_transform`, a Taylor sum in G = A - a00 I.  The two
+    agree exactly on the rational backend.
     """
     if not isinstance(p, Poly):
         p = Poly.of(p)
@@ -356,13 +362,20 @@ def poly_transform(p, a: ConvMatrix, mode: str = SUM_OF_POWERS) -> ConvMatrix:
     return result
 
 
+def _taylor(values, exact: bool) -> list:
+    """Taylor coefficients values[l] / l!, as Fractions on the exact route."""
+    if exact:
+        return [Fraction(v, numerics.factorial(ell)) for ell, v in enumerate(values)]
+    return [v / numerics.factorial(ell) for ell, v in enumerate(values)]
+
+
 def smooth_transform(f: FunctionSpec, a: ConvMatrix) -> ConvMatrix:
     """Derivative-based matrix transform of a scalar function.
 
-    Entry (0, 0) is f(a00); entry (i, j) contracts the derivatives
-    f^(1)(a00) ... f^(i+j)(a00) against the elementary partition sums of
-    the matrix.  Requires f to provide derivatives up to order M+N-2 at
-    a00.
+    The Taylor sum sum_l f^(l)(a00)/l! G^(<>l) in the nilpotent part
+    G = A - a00 I: entry (0, 0) is f(a00), entry (i, j) contracts
+    f^(1)(a00) ... f^(i+j)(a00) against the elementary partition sums.
+    Requires f to provide derivatives up to order M+N-2 at a00.
     """
     order = a.rows + a.cols - 2
     f.ensure_order(order)
@@ -374,23 +387,8 @@ def smooth_transform(f: FunctionSpec, a: ConvMatrix) -> ConvMatrix:
         x0 = work.data[0][0]
     else:
         x0 = _as_real(work.data[0][0], f.kind)
-    derivs = [None] * (order + 1)
-    for ell in range(1, order + 1):
-        derivs[ell] = f.derivative(ell, x0)
-    out = []
-    for i in range(work.rows):
-        row = []
-        for j in range(work.cols):
-            if (i, j) == (0, 0):
-                row.append(f.value(x0) if exact else complex(f.value(x0)))
-                continue
-            acc = numerics.zero(work.scalar)
-            for ell in range(1, i + j + 1):
-                e = elementary_sum(work, ell, (i, j))
-                acc = acc + derivs[ell] * e
-            row.append(acc if exact else complex(acc))
-        out.append(tuple(row))
-    return ConvMatrix(work.rows, work.cols, tuple(out), work.scalar)
+    derivs = [f.derivative(ell, x0) for ell in range(order + 1)]
+    return ring_taylor(_taylor(derivs, exact), nilpotent_part(work))
 
 
 def stepped_transform(f: FunctionSpec, a: ConvMatrix, h) -> ConvMatrix:
@@ -415,24 +413,9 @@ def stepped_transform(f: FunctionSpec, a: ConvMatrix, h) -> ConvMatrix:
     exact = (f.is_exact and a.scalar == RATIONAL
              and isinstance(h, (int, Fraction)) and not isinstance(h, bool))
     work = a if exact else a.astype(COMPLEX)
-    hval = h if exact else float(h)
-    divs = [None] * (order + 1)
-    for ell in range(1, order + 1):
-        divs[ell] = divided_difference(f, x0, hval, ell)
-    out = []
-    for i in range(work.rows):
-        row = []
-        for j in range(work.cols):
-            if (i, j) == (0, 0):
-                row.append(f.value(x0) if exact else complex(f.value(x0)))
-                continue
-            acc = numerics.zero(work.scalar)
-            for ell in range(1, i + j + 1):
-                e = elementary_sum(work, ell, (i, j))
-                acc = acc + divs[ell] * e
-            row.append(acc if exact else complex(acc))
-        out.append(tuple(row))
-    return ConvMatrix(work.rows, work.cols, tuple(out), work.scalar)
+    hval = Fraction(h) if exact else float(h)
+    divs = [divided_difference(f, x0, hval, ell) for ell in range(order + 1)]
+    return ring_taylor(_taylor(divs, exact), nilpotent_part(work))
 
 
 @dataclass(frozen=True)
@@ -522,28 +505,19 @@ def bivariate_power_matrix(alpha: float, a: ConvMatrix) -> ConvMatrix:
 
     F(x, y) = a00 + sum over nonzero (m, n) of a[m, n] x^m y^n.  The
     alpha-th power is expanded as a binomial series in G/a00 (G the
-    a00-free part); only orders k <= 2(N-1) can touch the coefficient
-    window, and the polynomial arithmetic is the truncated convolution
-    itself.  Requires a square matrix with real entries and a00 > 0.
+    a00-free part), a00^alpha sum_k C(alpha, k) (G/a00)^k; only orders
+    k <= 2(N-1) can touch the coefficient window, and the polynomial
+    arithmetic is the truncated convolution itself.  Requires a square
+    matrix with real entries and a00 > 0.
     """
     if a.rows != a.cols:
         raise ValueError(f"bivariate power matrix needs a square matrix, got {a.shape}")
     if not a.is_real():
         raise ValueError("bivariate power matrix requires real entries")
-    n = a.rows
     work = a.astype(COMPLEX)
     a00 = work.data[0][0].real
     if a00 <= 0:
         raise DomainError(f"leading entry must be positive, got {a00}", node=a00)
-    g_rows = [[v / a00 for v in row] for row in work.data]
-    g_rows[0][0] = complex(0.0)
-    g = ConvMatrix.from_rows(g_rows, COMPLEX)
-    acc = ConvMatrix.zeros(n, n, COMPLEX)
-    power = conv_identity(n, n, COMPLEX)
-    top = 2 * (n - 1)
-    for k in range(top + 1):
-        acc = add(acc, scale(numerics.generalized_binomial(alpha, k), power))
-        if k < top:
-            power = conv(power, g)
-    lead = a00 ** alpha
-    return scale(lead, factorial_frame(acc))
+    coeffs = [numerics.generalized_binomial(alpha, k) * a00 ** (alpha - k)
+              for k in range(a.rows + a.cols - 1)]
+    return factorial_frame(ring_taylor(coeffs, nilpotent_part(work)))

@@ -5,7 +5,8 @@ from argparse import Namespace
 
 import pytest
 
-from juryconv import cli
+from juryconv import SeriesDivergenceError, cli
+from juryconv import partitions as partitions_mod
 from juryconv.cli import main, parse_alpha_grid, parse_h_grid
 from juryconv.numerics import ScalarError
 
@@ -124,6 +125,14 @@ class TestPartitionsCommand:
         assert "(0,1)^1 (1,0)^1" in out
         assert "# 1 partitions" in out
 
+    def test_cap_overrun_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(partitions_mod, "PARTITION_CAP", 50)
+        code = main(["partitions", "--rows", "6", "--cols", "6",
+                     "--ell", "5", "--target", "5,5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestGridParsing:
     def test_h_grid(self):
@@ -169,6 +178,15 @@ class TestSuites:
         args = Namespace(name="prob", n=4, trials=5, seed=0,
                          tol=1e-8, alpha_grid=None, h_grid=None, out=None)
         assert cli.cmd_suite(args) == 1
+
+    def test_series_divergence_exits_two(self, monkeypatch, capsys):
+        def diverge(cfg):
+            raise SeriesDivergenceError("series did not settle within 10 terms")
+
+        monkeypatch.setitem(cli.SUITES, "prob", diverge)
+        assert main(["suite", "prob"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: series did not settle within 10 terms\n"
 
     def test_seed_recorded_in_report(self, capsys):
         assert main(["suite", "bruhat", "--n", "3", "--seed", "77"]) == 0

@@ -154,7 +154,7 @@ class TestFactorial:
     def test_cache_and_large(self):
         assert numerics.factorial(0) == 1
         assert numerics.factorial(5) == 120
-        assert numerics.factorial(70) == math.factorial(70)  # above the memo cap
+        assert numerics.factorial(70) == math.factorial(70)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

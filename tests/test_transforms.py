@@ -24,6 +24,7 @@ from juryconv import (
     smooth_transform,
     stepped_transform,
 )
+from juryconv import Interval, elementary_sum, sample_psd
 from juryconv.conv_core import matrices_close
 
 from helpers import rand_fraction, rand_rational_matrix
@@ -31,6 +32,50 @@ from helpers import rand_fraction, rand_rational_matrix
 
 def rand_poly(rng, max_deg=4):
     return Poly.of([rand_fraction(rng) for _ in range(rng.randint(1, max_deg + 1))])
+
+
+# ----------------------------------------------------------------------
+# partition-sum oracle: entry (i, j) = sum_l c_l E_l(A, i, j), with c_l the
+# l-th derivative (smooth) or divided difference (stepped) at a00
+# ----------------------------------------------------------------------
+
+def _partition_sum(values, work, exact):
+    out = []
+    for i in range(work.rows):
+        row = []
+        for j in range(work.cols):
+            if (i, j) == (0, 0):
+                acc = values[0]
+            else:
+                acc = 0
+                for ell in range(1, i + j + 1):
+                    acc = acc + values[ell] * elementary_sum(work, ell, (i, j))
+            row.append(acc if exact else complex(acc))
+        out.append(row)
+    return ConvMatrix.from_rows(out, work.scalar)
+
+
+def _smooth_reference(f, a):
+    order = a.rows + a.cols - 2
+    exact = f.is_exact and a.scalar == "rational"
+    work = a if exact else a.astype("complex")
+    x0 = work[0, 0] if exact or f.kind == "poly" else work[0, 0].real
+    return _partition_sum([f.derivative(ell, x0) for ell in range(order + 1)], work, exact)
+
+
+def _stepped_reference(f, a, h):
+    order = a.rows + a.cols - 2
+    exact = f.is_exact and a.scalar == "rational" and isinstance(h, (int, Fraction))
+    work = a if exact else a.astype("complex")
+    x0 = a[0, 0] if a.scalar == "rational" else a[0, 0].real
+    hval = h if exact else float(h)
+    divs = [divided_difference(f, x0, hval, ell) for ell in range(order + 1)]
+    return _partition_sum(divs, work, exact)
+
+
+def _rel_dist(m, ref):
+    return max(abs(complex(m[i, j]) - complex(ref[i, j])) for i, j in ref.indices()) \
+        / max(1.0, ref.max_abs())
 
 
 class TestPoly:
@@ -269,6 +314,46 @@ class TestSteppedTransform:
         with pytest.raises(DomainError) as err:
             stepped_transform(FunctionSpec.series([1.0, 1.0], radius=1.0), a, 0.3)
         assert err.value.node == pytest.approx(1.1)
+
+
+class TestPartitionOracle:
+    """The Taylor-in-G transforms against the literal partition sums."""
+
+    SHAPES = [(1, 5), (3, 3), (4, 2), (4, 4)]
+    FLOAT_RTOL = 1e-12  # observed <= 1e-13 (x^-0.5 at 6x6)
+
+    def test_smooth_exact_polynomials(self):
+        rng = random.Random(67)
+        for shape in self.SHAPES:
+            for _ in range(4):
+                f = FunctionSpec.polynomial(rand_poly(rng, max_deg=7))
+                a = rand_rational_matrix(rng, *shape)
+                assert smooth_transform(f, a) == _smooth_reference(f, a)
+
+    def test_stepped_exact_steps(self):
+        rng = random.Random(71)
+        for shape in self.SHAPES:
+            for h in (Fraction(1, 3), 2):
+                f = FunctionSpec.polynomial(rand_poly(rng, max_deg=7))
+                a = rand_rational_matrix(rng, *shape)
+                assert stepped_transform(f, a, h) == _stepped_reference(f, a, h)
+
+    def test_zero_polynomial_stays_exact(self):
+        a = ConvMatrix.rational([[2, 1], [1, 3]])
+        zero = FunctionSpec.polynomial([0])
+        assert smooth_transform(zero, a) == ConvMatrix.zeros(2, 2)
+        assert stepped_transform(zero, a, 1) == ConvMatrix.zeros(2, 2)
+
+    def test_float_exp_and_powers(self):
+        fns = [FunctionSpec.exp()] + [FunctionSpec.power(al) for al in (0.5, 2.5, -0.5)]
+        for n in range(2, 7):
+            a = sample_psd(n, Interval(1.0), n)
+            for f in fns:
+                assert _rel_dist(smooth_transform(f, a), _smooth_reference(f, a)) \
+                    <= self.FLOAT_RTOL
+            f = FunctionSpec.exp()
+            assert _rel_dist(stepped_transform(f, a, 0.25), _stepped_reference(f, a, 0.25)) \
+                <= self.FLOAT_RTOL
 
 
 class TestSeriesTransform:
