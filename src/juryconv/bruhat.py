@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Tuple
 
 from .conv_core import ConvMatrix, conv
@@ -274,13 +274,7 @@ class EquivalenceReport:
     all_consistent: bool
 
     def to_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "tau": self.tau,
-            "rows": self.rows,
-            "identities_ok": self.identities_ok,
-            "all_consistent": self.all_consistent,
-        }
+        return asdict(self)
 
 
 def verify_equivalences(sigma: Permutation, tau: Permutation) -> EquivalenceReport:

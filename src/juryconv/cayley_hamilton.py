@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from . import numerics
 from .conv_core import ConvMatrix, conv, nilpotent_part
 from .numerics import RATIONAL
 from .partitions import elementary_sum
@@ -84,12 +85,8 @@ def _criterion_degree(a: ConvMatrix, threshold: float) -> int:
             for j in range(a.cols):
                 if i + j < kappa:
                     continue
-                e = elementary_sum(a, kappa, (i, j))
-                if a.scalar == RATIONAL:
-                    if e != 0:
-                        ok = False
-                        break
-                elif abs(e) > threshold:
+                if not numerics.is_zero_scalar(elementary_sum(a, kappa, (i, j)),
+                                               a.scalar, threshold):
                     ok = False
                     break
             if not ok:
@@ -110,8 +107,7 @@ def _nilpotency_degree(a: ConvMatrix, threshold: float):
             return kappa, witness
         witness = next(
             (i, j) for (i, j) in power.indices()
-            if not (power.data[i][j] == 0 if a.scalar == RATIONAL
-                    else abs(power.data[i][j]) <= threshold)
+            if not numerics.is_zero_scalar(power.data[i][j], a.scalar, threshold)
         )
         if kappa < d:
             power = conv(power, base)

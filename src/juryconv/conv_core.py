@@ -12,9 +12,14 @@ constructions (back-substitution along anti-diagonals, and the closed
 form derived from the degree-(M+N-1) annihilating polynomial) live
 here.  So does :func:`ring_taylor`, the Horner kernel for polynomials in
 the nilpotent part G = A - a00 I, which serves the closed-form inverse
-and the functional calculus.  The product is deliberately defined only
-for equal shapes -- the padded, shape-growing convolution belongs to
-:mod:`juryconv.probgrid`.
+and the functional calculus.
+
+The convolution sum itself is written once, in :func:`_conv_window`,
+which returns a top-left window of the full 2-D convolution.  The ring
+product :func:`conv` is its M x N window and is defined only for equal
+shapes; the padded, shape-growing product :func:`padded_conv` is its
+(M1+M2-1) x (N1+N2-1) window, re-exported by :mod:`juryconv.probgrid`
+for grid distributions.
 """
 
 from __future__ import annotations
@@ -162,16 +167,13 @@ class ConvMatrix:
         raise ScalarError("cannot convert a complex-float matrix to the exact backend")
 
     def max_abs(self) -> float:
-        return max(abs(complex(v) if self.scalar == COMPLEX else float(v))
-                   for row in self.data for v in row)
+        return max(float(abs(v)) for row in self.data for v in row)
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(numerics.is_zero_scalar(v, self.scalar, tol)
                    for row in self.data for v in row)
 
     def is_real(self, tol: float = 0.0) -> bool:
-        if self.scalar == RATIONAL:
-            return True
         return all(abs(v.imag) <= tol for row in self.data for v in row)
 
     # ------------------------------------------------------------------
@@ -222,6 +224,10 @@ class ConvMatrix:
         scalar = payload["scalar"]
         if scalar not in (RATIONAL, COMPLEX):
             raise ScalarError(f"field 'scalar' must be 'rational' or 'complex', got {scalar!r}")
+        for field in ("rows", "cols"):
+            value = payload[field]
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ScalarError(f"field {field!r} must be an integer >= 1, got {value!r}")
         rows, cols = payload["rows"], payload["cols"]
         data = payload["data"]
         if not isinstance(data, list) or len(data) != rows:
@@ -248,7 +254,7 @@ class ConvMatrix:
         buf = io.StringIO()
         writer = csv.writer(buf)
         for row in self.data:
-            writer.writerow([float(v) if self.scalar == RATIONAL else v.real for v in row])
+            writer.writerow([float(v.real) for v in row])
         return buf.getvalue()
 
     @classmethod
@@ -291,24 +297,46 @@ def antidiagonal_indices(rows: int, cols: int) -> Iterator[tuple]:
 # ring operations
 # ----------------------------------------------------------------------
 
+def _conv_window(a: ConvMatrix, b: ConvMatrix, rows: int, cols: int) -> ConvMatrix:
+    """Top-left rows x cols window of the full 2-D convolution of a and b.
+
+    Entry (i, j) gathers a[l, k] b[i-l, j-k] over every (l, k) with both
+    factors inside their matrices, summed with l and then k ascending.
+    """
+    ad, bd = a.data, b.data
+    zero = numerics.zero(a.scalar)
+    col_ranges = [range(max(0, j - b.cols + 1), min(j, a.cols - 1) + 1)
+                  for j in range(cols)]
+    out = []
+    for i in range(rows):
+        row_pairs = [(ad[l], bd[i - l])
+                     for l in range(max(0, i - b.rows + 1), min(i, a.rows - 1) + 1)]
+        row = []
+        for j, ks in enumerate(col_ranges):
+            acc = zero
+            for arow, brow in row_pairs:
+                for k in ks:
+                    acc += arow[k] * brow[j - k]
+            row.append(acc)
+        out.append(tuple(row))
+    return ConvMatrix(rows, cols, tuple(out), a.scalar)
+
+
 def conv(a: ConvMatrix, b: ConvMatrix) -> ConvMatrix:
     """Truncated 2-D convolution of two same-shape matrices."""
     _require_same_shape(a, b)
     _require_same_backend(a, b)
-    ad, bd = a.data, b.data
-    out = []
-    for i in range(a.rows):
-        row = []
-        for j in range(a.cols):
-            acc = numerics.zero(a.scalar)
-            for l in range(i + 1):
-                arow = ad[l]
-                brow = bd[i - l]
-                for k in range(j + 1):
-                    acc += arow[k] * brow[j - k]
-            row.append(acc)
-        out.append(tuple(row))
-    return ConvMatrix(a.rows, a.cols, tuple(out), a.scalar)
+    return _conv_window(a, b, a.rows, a.cols)
+
+
+def padded_conv(a: ConvMatrix, b: ConvMatrix) -> ConvMatrix:
+    """Full 2-D convolution onto the (M1+M2-1) x (N1+N2-1) window.
+
+    Unlike the ring product, shapes may differ; restricting the result
+    to the top-left common window reproduces the truncated convolution.
+    """
+    _require_same_backend(a, b)
+    return _conv_window(a, b, a.rows + b.rows - 1, a.cols + b.cols - 1)
 
 
 def conv_identity(rows: int, cols: int, scalar: str = RATIONAL) -> ConvMatrix:
@@ -392,7 +420,7 @@ def conv_inverse_recursive(a: ConvMatrix) -> ConvMatrix:
     """
     _check_invertible(a)
     a00 = a.data[0][0]
-    inv00 = (Fraction(1) / a00) if a.scalar == RATIONAL else (1.0 / a00)
+    inv00 = 1 / a00
     b = [[numerics.zero(a.scalar)] * a.cols for _ in range(a.rows)]
     b[0][0] = inv00
     for (i, j) in antidiagonal_indices(a.rows, a.cols):
@@ -421,7 +449,7 @@ def conv_inverse_ch(a: ConvMatrix) -> ConvMatrix:
     """
     _check_invertible(a)
     a00 = a.data[0][0]
-    inv00 = (Fraction(1) / a00) if a.scalar == RATIONAL else (1.0 / a00)
+    inv00 = 1 / a00
     series = ring_taylor([1] * (a.rows + a.cols - 1), scale(-inv00, nilpotent_part(a)))
     return scale(inv00, series)
 

@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Iterator, Tuple
 
 from . import numerics
-from .numerics import RATIONAL
 from .conv_core import ConvMatrix
 
 # Soft cap on the number of multisets a single enumeration may produce.
@@ -184,10 +183,9 @@ def elementary_sum(a: ConvMatrix, ell: int, target: tuple):
     if not grid.contains(target):
         raise ValueError(f"target {target} outside grid {grid.rows}x{grid.cols}")
     parts = enumerate_partitions(grid, ell, target, exclude_origin=True)
-    exact = a.scalar == RATIONAL
     acc = numerics.zero(a.scalar)
     for part in parts:
-        term = part.weight if exact else complex(float(part.weight))
+        term = numerics.coerce(part.weight, a.scalar)
         for (p, q), c in part.items:
             term = term * a.data[p][q] ** c
         acc += term
@@ -205,7 +203,6 @@ def conv_power_partition(a: ConvMatrix, kappa: int) -> ConvMatrix:
     if kappa < 1:
         raise ValueError(f"partition power formula needs kappa >= 1, got {kappa}")
     grid = IndexGrid.of(a)
-    exact = a.scalar == RATIONAL
     kfact = numerics.factorial(kappa)
     out = []
     for i in range(a.rows):
@@ -214,8 +211,8 @@ def conv_power_partition(a: ConvMatrix, kappa: int) -> ConvMatrix:
             parts = enumerate_partitions(grid, kappa, (i, j), exclude_origin=False)
             acc = numerics.zero(a.scalar)
             for part in parts:
-                coeff = kfact * part.weight  # the multinomial kappa!/prod c!
-                term = coeff if exact else complex(float(coeff))
+                # the multinomial kappa!/prod c!
+                term = numerics.coerce(kfact * part.weight, a.scalar)
                 for (p, q), c in part.items:
                     term = term * a.data[p][q] ** c
                 acc += term

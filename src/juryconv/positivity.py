@@ -19,7 +19,7 @@ stream keyed by (seed, trial index).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -143,38 +143,27 @@ class ClosureReport:
     min_observed_eig: float
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "violations": self.violations,
-            "min_observed_eig": self.min_observed_eig,
-        }
+        return asdict(self)
 
 
 def jury_closure_test(n: int, trials: int = 200, rng_seed: int = 0,
                       tol: float = DEFAULT_TOL,
                       interval: Interval = Interval(1.0)) -> ClosureReport:
     """Sample PSD pairs and test their convolution for positive semidefiniteness."""
-
-    def one(t: int):
+    eigs = []
+    violations = []
+    for t in range(trials):
         a = sample_psd(n, interval, np.random.default_rng([rng_seed, t, 0]))
         b = sample_psd(n, interval, np.random.default_rng([rng_seed, t, 1]))
         verdict = is_psd(conv(a, b), tol)
-        record = None
+        eigs.append(verdict.min_eigenvalue)
         if not verdict.is_psd:
-            record = {
+            violations.append({
                 "trial": t,
                 "min_eig": verdict.min_eigenvalue,
                 "matrix_a": a.to_json_dict(),
                 "matrix_b": b.to_json_dict(),
-            }
-        return verdict.min_eigenvalue, record
-
-    results = [one(t) for t in range(trials)]
-    violations = [rec for _, rec in results if rec is not None]
+            })
     return ClosureReport(
         theorem="psd-closure-under-convolution",
         n=n,
@@ -182,7 +171,7 @@ def jury_closure_test(n: int, trials: int = 200, rng_seed: int = 0,
         seed=rng_seed,
         tolerance=tol,
         violations=violations,
-        min_observed_eig=min(eig for eig, _ in results) if results else 0.0,
+        min_observed_eig=min(eigs) if eigs else 0.0,
     )
 
 
@@ -205,19 +194,7 @@ class PreserverReport:
     stepped_rows: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "function": self.function,
-            "n": self.n,
-            "mode": self.mode,
-            "interval_rho": self.interval_rho,
-            "trials": self.trials,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "h_grid": self.h_grid,
-            "violations": self.violations,
-            "stepped_rows": self.stepped_rows,
-        }
+        return asdict(self)
 
     def to_csv(self) -> str:
         """Per-(trial, h) summary rows for the stepped sweep."""
@@ -243,40 +220,35 @@ def preserver_test(f: FunctionSpec, n: int, interval: Interval = Interval(1.0),
     if mode == "stepped" and not h_grid:
         raise ValueError("stepped mode needs an h grid")
 
-    def one(t: int):
+    violations = []
+    stepped_rows = []
+    for t in range(trials):
         a = sample_psd(n, interval, np.random.default_rng([rng_seed, t]))
-        recs = []
-        rows = []
         if mode == "smooth":
             verdict = is_psd(smooth_transform(f, a), tol)
             if not verdict.is_psd:
-                recs.append({
+                violations.append({
                     "trial": t,
                     "h": None,
                     "min_eig": verdict.min_eigenvalue,
                     "matrix": a.to_json_dict(),
                 })
-        else:
-            a00 = float(a.to_numpy()[0, 0].real)
-            for h in h_grid:
-                if a00 + 2 * (n - 1) * h >= interval.rho:
-                    continue
-                verdict = is_psd(stepped_transform(f, a, h), tol)
-                rows.append({"trial": t, "h": h,
-                             "min_eig": verdict.min_eigenvalue,
-                             "psd": verdict.is_psd})
-                if not verdict.is_psd:
-                    recs.append({
-                        "trial": t,
-                        "h": h,
-                        "min_eig": verdict.min_eigenvalue,
-                        "matrix": a.to_json_dict(),
-                    })
-        return recs, rows
-
-    results = [one(t) for t in range(trials)]
-    violations = [r for recs, _ in results for r in recs]
-    stepped_rows = [r for _, rows in results for r in rows]
+            continue
+        a00 = float(a.to_numpy()[0, 0].real)
+        for h in h_grid:
+            if a00 + 2 * (n - 1) * h >= interval.rho:
+                continue
+            verdict = is_psd(stepped_transform(f, a, h), tol)
+            stepped_rows.append({"trial": t, "h": h,
+                                 "min_eig": verdict.min_eigenvalue,
+                                 "psd": verdict.is_psd})
+            if not verdict.is_psd:
+                violations.append({
+                    "trial": t,
+                    "h": h,
+                    "min_eig": verdict.min_eigenvalue,
+                    "matrix": a.to_json_dict(),
+                })
     return PreserverReport(
         theorem="transform-positivity-preserver",
         function=f.to_json_dict(),
@@ -415,15 +387,7 @@ class FractionalPowerReport:
     rows: list
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": "fractional-power-preservers",
-            "n": self.n,
-            "interval_rho": self.interval_rho,
-            "trials": self.trials,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "rows": self.rows,
-        }
+        return {"theorem": "fractional-power-preservers", **asdict(self)}
 
     def consistent(self) -> bool:
         """Every theory-backed expectation matched the observed data."""
@@ -521,17 +485,7 @@ class DifferenceReport:
     min_witness_diagonal: float
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": "difference-operator-nonnegativity",
-            "function": self.function,
-            "n": self.n,
-            "interval_rho": self.interval_rho,
-            "trials": self.trials,
-            "seed": self.seed,
-            "rows": self.rows,
-            "min_difference": self.min_difference,
-            "min_witness_diagonal": self.min_witness_diagonal,
-        }
+        return {"theorem": "difference-operator-nonnegativity", **asdict(self)}
 
 
 def difference_operator_report(f: FunctionSpec, n: int,

@@ -1,9 +1,11 @@
-"""Padded convolution, grid distributions, and the semi-infinite checks.
+"""Grid distributions, the padded-product layer, and the semi-infinite checks.
 
 Finitely supported probability distributions on the nonnegative integer
 grid are stored as matrices of masses.  Summing independent grid-valued
-random variables convolves their mass matrices -- here with the padded
-(window-growing) convolution, since supports add.  When the mass
+random variables convolves their mass matrices -- with the padded
+(window-growing) convolution, since supports add.  That product is the
+full-window form of the ring product and lives with it in
+:mod:`juryconv.conv_core`; it is re-exported here.  When the mass
 matrices are positive semidefinite (every leading principal block of
 their zero-extended form is PSD), so is the mass matrix of the sum.
 
@@ -17,48 +19,23 @@ their coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import numerics
-from .conv_core import BackendMismatchError, ConvMatrix
+from .conv_core import ConvMatrix, conv_identity, nilpotent_part, padded_conv
 from .numerics import RATIONAL
 from .positivity import DEFAULT_TOL, is_psd
 
 MASS_TOL = 1e-12
 
 
-def padded_conv(a: ConvMatrix, b: ConvMatrix) -> ConvMatrix:
-    """Full 2-D convolution onto the (M1+M2-1) x (N1+N2-1) window.
-
-    Unlike the ring product, shapes may differ; restricting the result
-    to the top-left common window reproduces the truncated convolution.
-    """
-    if a.scalar != b.scalar:
-        raise BackendMismatchError(f"backend mismatch: {a.scalar} vs {b.scalar}")
-    rows = a.rows + b.rows - 1
-    cols = a.cols + b.cols - 1
-    out = [[numerics.zero(a.scalar) for _ in range(cols)] for _ in range(rows)]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            v = a.data[i][j]
-            if v == 0:
-                continue
-            for k in range(b.rows):
-                row_out = out[i + k]
-                brow = b.data[k]
-                for l in range(b.cols):
-                    row_out[j + l] += v * brow[l]
-    return ConvMatrix(rows, cols, tuple(tuple(r) for r in out), a.scalar)
-
-
 def padded_power(a: ConvMatrix, kappa: int) -> ConvMatrix:
     """kappa-fold padded convolution; kappa = 0 is the 1x1 unit window."""
     if kappa < 0:
         raise ValueError(f"power must be >= 0, got {kappa}")
-    result = ConvMatrix.from_rows([[1]], a.scalar) if a.scalar == RATIONAL \
-        else ConvMatrix.floats([[1.0]])
+    result = conv_identity(1, 1, a.scalar)
     for _ in range(kappa):
         result = padded_conv(result, a)
     return result
@@ -253,12 +230,7 @@ class SemiInfiniteReport:
     all_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "cap": self.cap,
-            "diagonal_walk": self.diagonal_walk,
-            "non_annihilation": self.non_annihilation,
-            "all_ok": self.all_ok,
-        }
+        return asdict(self)
 
 
 def _diag_unit_walk(cap: int) -> list:
@@ -299,10 +271,7 @@ def _non_annihilation(cap: int) -> list:
     ]
     rows = []
     for a, (i, j) in cases:
-        a00 = a.data[0][0]
-        shifted_rows = [[a.data[p][q] - (a00 if (p, q) == (0, 0) else 0)
-                         for q in range(a.cols)] for p in range(a.rows)]
-        shifted = ConvMatrix.rational(shifted_rows)
+        shifted = nilpotent_part(a)
         ok = True
         observed = []
         for kappa in range(1, cap + 1):

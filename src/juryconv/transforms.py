@@ -272,24 +272,37 @@ class FunctionSpec:
         if not isinstance(payload, dict) or "kind" not in payload:
             raise ScalarError("function JSON must be an object with a 'kind' field")
         kind = payload["kind"]
-        max_order = payload.get("max_order")
+        max_order = _json_field(payload, "max_order", (int, type(None)), "an integer or null")
         if kind == "poly":
             if "coeffs" not in payload:
                 raise ScalarError("poly function JSON is missing field 'coeffs'")
-            return FunctionSpec.polynomial(payload["coeffs"], max_order=max_order)
+            coeffs = _json_field(payload, "coeffs", list, "a list")
+            return FunctionSpec.polynomial(coeffs, max_order=max_order)
         if kind == "power":
             if "alpha" not in payload:
                 raise ScalarError("power function JSON is missing field 'alpha'")
-            return FunctionSpec.power(payload["alpha"], max_order=max_order)
+            alpha = _json_field(payload, "alpha", (int, float), "a real number")
+            return FunctionSpec.power(alpha, max_order=max_order)
         if kind == "exp":
             return FunctionSpec.exp(max_order=max_order)
         if kind == "series":
             for fieldname in ("coeffs", "radius"):
                 if fieldname not in payload:
                     raise ScalarError(f"series function JSON is missing field {fieldname!r}")
-            return FunctionSpec.series(payload["coeffs"], payload["radius"],
-                                       max_order=max_order)
+            coeffs = _json_field(payload, "coeffs", list, "a list")
+            if any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in coeffs):
+                raise ScalarError(f"field 'coeffs' must hold real numbers, got {coeffs!r}")
+            radius = _json_field(payload, "radius", (int, float), "a real number")
+            return FunctionSpec.series(coeffs, radius, max_order=max_order)
         raise ScalarError(f"unknown function kind {kind!r}")
+
+
+def _json_field(payload: dict, name: str, types, what: str):
+    """payload.get(name), rejected with a ScalarError unless of ``types`` (bools never)."""
+    value = payload.get(name)
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ScalarError(f"field {name!r} must be {what}, got {value!r}")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -495,7 +508,7 @@ def factorial_frame(a: ConvMatrix) -> ConvMatrix:
         for j in range(a.cols):
             c = fi * numerics.factorial(j)
             v = a.data[i][j]
-            row.append(c * v if a.scalar == RATIONAL else complex(c) * v)
+            row.append(c * v)
         out.append(tuple(row))
     return ConvMatrix(a.rows, a.cols, tuple(out), a.scalar)
 

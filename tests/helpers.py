@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from juryconv import ConvMatrix
 
 
@@ -28,3 +30,13 @@ def rand_permutation(rng: random.Random, n: int):
     vals = list(range(1, n + 1))
     rng.shuffle(vals)
     return vals
+
+
+def numpy_full_conv(a: ConvMatrix, b: ConvMatrix) -> np.ndarray:
+    """Full 2-D convolution in numpy: shifted copies of b, scaled by each a[l, k]."""
+    an, bn = a.to_numpy(), b.to_numpy()
+    out = np.zeros((a.rows + b.rows - 1, a.cols + b.cols - 1), dtype=np.result_type(an, bn))
+    for l in range(a.rows):
+        for k in range(a.cols):
+            out[l:l + b.rows, k:k + b.cols] += an[l, k] * bn
+    return out

@@ -84,6 +84,45 @@ class TestTransformCommand:
         assert code == 2
 
 
+class TestMalformedFields:
+    """Well-formed JSON with a field of the wrong type: exit 2, one error line."""
+
+    @staticmethod
+    def _exits_two(argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @staticmethod
+    def _matrix_file(tmp_path, **fields):
+        m = {"rows": 2, "cols": 2, "scalar": "complex", "data": [[1.0, 0.5], [0.5, 1.0]]}
+        m.update(fields)
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(m))
+        return str(p)
+
+    def test_float_rows(self, tmp_path, capsys):
+        p = self._matrix_file(tmp_path, rows=2.0)
+        self._exits_two(["conv", p, p], capsys)
+
+    def test_null_alpha(self, tmp_path, capsys):
+        self._exits_two(["transform", self._matrix_file(tmp_path), "--function",
+                         '{"kind":"power","alpha":null}'], capsys)
+
+    def test_scalar_series_coeffs(self, tmp_path, capsys):
+        self._exits_two(["transform", self._matrix_file(tmp_path), "--function",
+                         '{"kind":"series","coeffs":5,"radius":1}'], capsys)
+
+    def test_null_series_coefficient(self, tmp_path, capsys):
+        self._exits_two(["transform", self._matrix_file(tmp_path), "--function",
+                         '{"kind":"series","coeffs":[1,null],"radius":1}'], capsys)
+
+    def test_string_max_order(self, tmp_path, capsys):
+        self._exits_two(["transform", self._matrix_file(tmp_path), "--function",
+                         '{"kind":"power","alpha":0.5,"max_order":"x"}'], capsys)
+
+
 class TestMinpolyCommand:
     def test_output(self, matrix_files, capsys):
         pa, _ = matrix_files

@@ -24,9 +24,15 @@ from juryconv import (
     transpose,
 )
 from juryconv.conv_core import antidiagonal_indices, matrices_close, nilpotent_part, ring_taylor
+from juryconv import numerics
 from juryconv.numerics import ScalarError
 
-from helpers import rand_fraction, rand_invertible_matrix, rand_rational_matrix
+from helpers import (
+    numpy_full_conv,
+    rand_fraction,
+    rand_invertible_matrix,
+    rand_rational_matrix,
+)
 
 
 small_fraction = st.fractions(
@@ -39,6 +45,25 @@ def matrix_strategy(m, n):
         st.lists(small_fraction, min_size=n, max_size=n),
         min_size=m, max_size=m,
     ).map(ConvMatrix.rational)
+
+
+def _conv_reference(a, b):
+    """The truncated product as the literal double sum, independent of the library kernel."""
+    assert a.shape == b.shape and a.scalar == b.scalar
+    ad, bd = a.data, b.data
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(a.cols):
+            acc = numerics.zero(a.scalar)
+            for l in range(i + 1):
+                arow = ad[l]
+                brow = bd[i - l]
+                for k in range(j + 1):
+                    acc += arow[k] * brow[j - k]
+            row.append(acc)
+        out.append(tuple(row))
+    return ConvMatrix(a.rows, a.cols, tuple(out), a.scalar)
 
 
 class TestConv:
@@ -65,6 +90,47 @@ class TestConv:
     def test_backend_mismatch(self):
         with pytest.raises(BackendMismatchError):
             conv(ConvMatrix.rational([[1]]), ConvMatrix.floats([[1.0]]))
+
+
+class TestConvReference:
+    """conv against the literal double sum: == on rationals, pinned bound on floats."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.data())
+    def test_random_shapes_exact(self, m, n, data):
+        a = data.draw(matrix_strategy(m, n))
+        b = data.draw(matrix_strategy(m, n))
+        assert conv(a, b) == _conv_reference(a, b)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (2, 8)])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_thin_shapes_exact(self, shape, data):
+        a = data.draw(matrix_strategy(*shape))
+        b = data.draw(matrix_strategy(*shape))
+        assert conv(a, b) == _conv_reference(a, b)
+
+    def test_mixed_signs_exact(self):
+        rng = random.Random(41)
+        for shape in [(1, 6), (5, 1), (4, 4), (3, 7)]:
+            a = rand_rational_matrix(rng, *shape)
+            sign = ConvMatrix.rational([[(-1) ** (i + j) for j in range(shape[1])]
+                                        for i in range(shape[0])])
+            b = ConvMatrix.rational([[x * s for x, s in zip(ra, rs)]
+                                     for ra, rs in zip(a.data, sign.data)])
+            assert conv(a, b) == _conv_reference(a, b)
+            assert conv(a, scale(-1, b)) == scale(-1, _conv_reference(a, b))
+
+    def test_complex_against_numpy(self):
+        rng = np.random.default_rng(43)
+        for shape in [(16, 16), (1, 24), (9, 3)]:
+            a, b = (ConvMatrix.from_numpy(rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+                    for _ in range(2))
+            got = conv(a, b).to_numpy()
+            bound = 1e-13 * a.max_abs() * b.max_abs()  # observed <= 3e-15 |a| |b|
+            for want in (numpy_full_conv(a, b)[:shape[0], :shape[1]],
+                         _conv_reference(a, b).to_numpy()):
+                assert np.abs(got - want).max() <= bound
 
 
 class TestIdentityMatrix:

@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from juryconv import (
     ConvMatrix,
@@ -17,9 +19,10 @@ from juryconv import (
     semiinfinite_checks,
     sum_distribution,
 )
+from juryconv import numerics
 from juryconv.probgrid import embed, padded_poly_action
 
-from helpers import rand_rational_matrix
+from helpers import numpy_full_conv, rand_rational_matrix
 
 
 def rand_distribution(rng, m, n):
@@ -31,6 +34,59 @@ def rand_distribution(rng, m, n):
     return GridDistribution.from_rows(
         [[v / total for v in row] for row in masses]
     )
+
+
+def _padded_conv_reference(a, b):
+    """Full-window product by scattering each a[i, j] b onto its shifted block."""
+    assert a.scalar == b.scalar
+    rows = a.rows + b.rows - 1
+    cols = a.cols + b.cols - 1
+    out = [[numerics.zero(a.scalar) for _ in range(cols)] for _ in range(rows)]
+    for i in range(a.rows):
+        for j in range(a.cols):
+            v = a.data[i][j]
+            for k in range(b.rows):
+                for l in range(b.cols):
+                    out[i + k][j + l] += v * b.data[k][l]
+    return ConvMatrix(rows, cols, tuple(tuple(r) for r in out), a.scalar)
+
+
+def rational_matrices(shape):
+    entry = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    return st.lists(st.lists(entry, min_size=shape[1], max_size=shape[1]),
+                    min_size=shape[0], max_size=shape[0]).map(ConvMatrix.rational)
+
+
+class TestPaddedReference:
+    """padded_conv against the scatter-form full convolution."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+           st.tuples(st.integers(1, 4), st.integers(1, 4)), st.data())
+    def test_random_shapes_exact(self, sa, sb, data):
+        a = data.draw(rational_matrices(sa))
+        b = data.draw(rational_matrices(sb))
+        assert padded_conv(a, b) == _padded_conv_reference(a, b)
+
+    @pytest.mark.parametrize("sa, sb", [((1, 1), (3, 4)), ((2, 3), (3, 2)),
+                                        ((1, 5), (4, 1)), ((6, 1), (1, 6))])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_unequal_and_thin_shapes_exact(self, sa, sb, data):
+        a = data.draw(rational_matrices(sa))
+        b = data.draw(rational_matrices(sb))
+        assert padded_conv(a, b) == _padded_conv_reference(a, b)
+        assert padded_conv(b, a) == _padded_conv_reference(a, b)
+
+    def test_complex_against_numpy(self):
+        rng = np.random.default_rng(47)
+        for sa, sb in [((5, 7), (6, 3)), ((1, 12), (8, 1))]:
+            a = ConvMatrix.from_numpy(rng.uniform(-1, 1, sa) + 1j * rng.uniform(-1, 1, sa))
+            b = ConvMatrix.from_numpy(rng.uniform(-1, 1, sb) + 1j * rng.uniform(-1, 1, sb))
+            got = padded_conv(a, b).to_numpy()
+            bound = 1e-13 * a.max_abs() * b.max_abs()  # observed <= 3e-15 |a| |b|
+            for want in (numpy_full_conv(a, b), _padded_conv_reference(a, b).to_numpy()):
+                assert np.abs(got - want).max() <= bound
 
 
 class TestPaddedConv:
