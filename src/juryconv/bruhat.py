@@ -17,7 +17,6 @@ combinatorial, never floating.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import asdict, dataclass
 from typing import Iterable, Tuple
 
@@ -182,7 +181,6 @@ def bruhat_leq_conv(sigma: Permutation, tau: Permutation) -> bool:
 # ----------------------------------------------------------------------
 
 _closure_cache: dict = {}
-_closure_lock = threading.Lock()
 
 
 def _covers(values: tuple) -> list:
@@ -207,21 +205,20 @@ def _closure(n: int):
         raise ValueError(
             f"cover-digraph oracle is capped at n = {ORACLE_MAX_N}, got {n}"
         )
-    with _closure_lock:
-        cached = _closure_cache.get(n)
-        if cached is not None:
-            return cached
-        perms = list(itertools.permutations(range(1, n + 1)))
-        index = {p: k for k, p in enumerate(perms)}
-        by_length_desc = sorted(perms, key=lambda p: -Permutation(p).length())
-        reach = [0] * len(perms)
-        for p in by_length_desc:
-            mask = 1 << index[p]
-            for q in _covers(p):
-                mask |= reach[index[q]]
-            reach[index[p]] = mask
-        _closure_cache[n] = (index, reach)
-        return index, reach
+    cached = _closure_cache.get(n)
+    if cached is not None:
+        return cached
+    perms = list(itertools.permutations(range(1, n + 1)))
+    index = {p: k for k, p in enumerate(perms)}
+    by_length_desc = sorted(perms, key=lambda p: -Permutation(p).length())
+    reach = [0] * len(perms)
+    for p in by_length_desc:
+        mask = 1 << index[p]
+        for q in _covers(p):
+            mask |= reach[index[q]]
+        reach[index[p]] = mask
+    _closure_cache[n] = (index, reach)
+    return index, reach
 
 
 def bruhat_leq_oracle(sigma: Permutation, tau: Permutation) -> bool:

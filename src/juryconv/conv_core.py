@@ -15,7 +15,11 @@ the nilpotent part G = A - a00 I, which serves the closed-form inverse
 and the functional calculus.
 
 The convolution sum itself is written once, in :func:`_conv_window`,
-which returns a top-left window of the full 2-D convolution.  The ring
+which returns a top-left window of the full 2-D convolution.  On the
+rational backend it sums Python ints over one common denominator per
+operand and builds one ``Fraction`` (one gcd) per output entry; integer
+sums are exact and ``Fraction`` is canonical, so the result is the one
+the Fraction arithmetic would give, at a fraction of its cost.  The ring
 product :func:`conv` is its M x N window and is defined only for equal
 shapes; the padded, shape-growing product :func:`padded_conv` is its
 (M1+M2-1) x (N1+N2-1) window, re-exported by :mod:`juryconv.probgrid`
@@ -302,9 +306,15 @@ def _conv_window(a: ConvMatrix, b: ConvMatrix, rows: int, cols: int) -> ConvMatr
 
     Entry (i, j) gathers a[l, k] b[i-l, j-k] over every (l, k) with both
     factors inside their matrices, summed with l and then k ascending.
+    On the rational backend the operands first go over common
+    denominators (:func:`juryconv.numerics.integer_operands`): the loop
+    multiplies and adds Python ints, which is exact, and each output
+    entry becomes one ``Fraction(sum, da*db)`` with a single gcd, equal
+    to the Fraction sum.  Complex entries run through the same loop in
+    the same order, so their results are bit-for-bit those of the plain
+    float sum.
     """
-    ad, bd = a.data, b.data
-    zero = numerics.zero(a.scalar)
+    ad, bd, zero, finish = numerics.integer_operands(a.data, b.data, a.scalar)
     col_ranges = [range(max(0, j - b.cols + 1), min(j, a.cols - 1) + 1)
                   for j in range(cols)]
     out = []
@@ -318,8 +328,8 @@ def _conv_window(a: ConvMatrix, b: ConvMatrix, rows: int, cols: int) -> ConvMatr
                 for k in ks:
                     acc += arow[k] * brow[j - k]
             row.append(acc)
-        out.append(tuple(row))
-    return ConvMatrix(rows, cols, tuple(out), a.scalar)
+        out.append(row)
+    return ConvMatrix(rows, cols, finish(out), a.scalar)
 
 
 def conv(a: ConvMatrix, b: ConvMatrix) -> ConvMatrix:

@@ -18,7 +18,6 @@ shape.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Tuple
@@ -96,7 +95,6 @@ class MultisetPartition:
 
 
 _cache: dict = {}
-_cache_lock = threading.Lock()
 
 
 def _enumerate_raw(elements: tuple, ell: int, target: tuple) -> tuple:
@@ -156,14 +154,12 @@ def enumerate_partitions(grid: IndexGrid, ell: int, target: tuple,
     if not grid.contains(target):
         raise ValueError(f"target {target} outside grid {grid.rows}x{grid.cols}")
     key = (grid.rows, grid.cols, ell, target, exclude_origin)
-    with _cache_lock:
-        hit = _cache.get(key)
+    hit = _cache.get(key)
     if hit is not None:
         return hit
     raw = _enumerate_raw(grid.indices(exclude_origin), ell, target)
     result = tuple(MultisetPartition(items) for items in raw)
-    with _cache_lock:
-        _cache[key] = result
+    _cache[key] = result
     return result
 
 

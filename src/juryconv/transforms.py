@@ -364,15 +364,33 @@ def poly_transform(p, a: ConvMatrix, mode: str = SUM_OF_POWERS) -> ConvMatrix:
         return smooth_transform(FunctionSpec.polynomial(p), a)
     if mode != SUM_OF_POWERS:
         raise ValueError(f"unknown mode {mode!r}")
-    if not (p.is_exact and a.scalar == RATIONAL):
+    return sum_of_powers(p, a)[0]
+
+
+def sum_of_powers(p: Poly, a: ConvMatrix):
+    """c0 I + c1 A + c2 A<>A + ..., with the magnitude of its terms.
+
+    Returns ``(result, magnitude)``; ``magnitude`` is 0 on the exact
+    route.  On floats it is sum_k |c_k| max|A^(<>k)|, accumulated over
+    the same powers: the size of the terms being summed, against which
+    the rounding error of the sum is measured (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, section 5.1).  A float result
+    can only be read as zero relative to this magnitude, since terms of
+    that size cancel.
+    """
+    exact = p.is_exact and a.scalar == RATIONAL
+    if not exact:
         a = a.astype(COMPLEX)
     result = ConvMatrix.zeros(a.rows, a.cols, a.scalar)
     power = conv_identity(a.rows, a.cols, a.scalar)
+    magnitude = 0.0
     for k, c in enumerate(p.coeffs):
         result = add(result, scale(c, power))
+        if not exact:
+            magnitude += abs(c) * power.max_abs()
         if k + 1 < len(p.coeffs):
             power = conv(power, a)
-    return result
+    return result, magnitude
 
 
 def _taylor(values, exact: bool) -> list:

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from juryconv import ConvMatrix
 
@@ -40,3 +41,50 @@ def numpy_full_conv(a: ConvMatrix, b: ConvMatrix) -> np.ndarray:
         for k in range(a.cols):
             out[l:l + b.rows, k:k + b.cols] += an[l, k] * bn
     return out
+
+
+def first_primes(count: int) -> list:
+    """The first ``count`` primes, by trial division against the smaller ones."""
+    found = []
+    k = 2
+    while len(found) < count:
+        if all(k % p for p in found if p * p <= k):
+            found.append(k)
+        k += 1
+    return found
+
+
+def coprime_matrix(rng: random.Random, m: int, n: int, bound: int = 9) -> ConvMatrix:
+    """Entries p/q with a distinct prime q per entry: the lcm of the denominators is their product."""
+    dens = first_primes(m * n)
+    rng.shuffle(dens)
+    nums = [rng.choice([k for k in range(-bound, bound + 1) if k]) for _ in range(m * n)]
+    return ConvMatrix.rational(
+        [[Fraction(nums[i * n + j], dens[i * n + j]) for j in range(n)] for i in range(m)]
+    )
+
+
+# Entries far outside machine range: numerators up to 10^40, denominators up to 10^12.
+huge_fraction = st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 12))
+
+
+def rational_matrices(shape, entry=st.fractions(min_value=-5, max_value=5, max_denominator=4)):
+    return st.lists(st.lists(entry, min_size=shape[1], max_size=shape[1]),
+                    min_size=shape[0], max_size=shape[0]).map(ConvMatrix.rational)
+
+
+def coprime_matrices(shape):
+    """Hypothesis form of :func:`coprime_matrix`, with numerators up to 10^40."""
+    m, n = shape
+    return st.tuples(
+        st.permutations(first_primes(max(m * n, 30))),
+        st.lists(st.integers(-10 ** 40, 10 ** 40), min_size=m * n, max_size=m * n),
+    ).map(lambda t: ConvMatrix.rational(
+        [[Fraction(t[1][i * n + j], t[0][i * n + j]) for j in range(n)] for i in range(m)]))
+
+
+def with_zero_rows(matrices):
+    """Matrices from ``matrices`` with a drawn subset of their rows set to zero (possibly all)."""
+    return matrices.flatmap(lambda a: st.lists(st.booleans(), min_size=a.rows, max_size=a.rows).map(
+        lambda mask: ConvMatrix.rational([[0] * a.cols if z else list(row)
+                                          for row, z in zip(a.data, mask)])))

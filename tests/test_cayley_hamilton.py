@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
 from juryconv import (
     ConvMatrix,
     Poly,
@@ -12,10 +15,13 @@ from juryconv import (
     conv_power_naive,
     minimal_polynomial,
     poly_transform,
+    sample_psd,
     scale,
     tightness_witness,
 )
+from juryconv import cayley_hamilton
 from juryconv.cayley_hamilton import format_minimal_polynomial
+from juryconv.positivity import Interval
 
 from helpers import rand_fraction, rand_rational_matrix
 
@@ -40,6 +46,21 @@ class TestAnnihilation:
     def test_float_backend_with_tolerance(self):
         a = ConvMatrix.floats([[0.3, 1.7], [2.1, -0.4]])
         assert ch_check(a)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 16])
+    def test_float_identity_holds_on_psd_samples(self, n):
+        # The binomial sum cancels by ~1e9 at 8x8 and ~1e22 at 16x16; the
+        # running magnitude bound keeps the true identity inside roundoff.
+        for s in range(3):
+            assert ch_check(sample_psd(n, Interval(1.0), np.random.default_rng([7, n, s])))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_float_check_rejects_degree_one_short(self, n, monkeypatch):
+        # (z - a00)^(M+N-2) leaves G^(M+N-2), which is above roundoff up to 8x8.
+        monkeypatch.setattr(cayley_hamilton, "ch_polynomial",
+                            lambda a: Poly.binomial_power(a[0, 0], a.rows + a.cols - 2))
+        for s in range(3):
+            assert not ch_check(sample_psd(n, Interval(1.0), np.random.default_rng([7, n, s])))
 
     def test_annihilator_polynomial_shape(self):
         a = ConvMatrix.rational([[2, 0, 1], [0, 1, 0]])

@@ -28,10 +28,15 @@ from juryconv import numerics
 from juryconv.numerics import ScalarError
 
 from helpers import (
+    coprime_matrices,
+    coprime_matrix,
+    huge_fraction,
     numpy_full_conv,
     rand_fraction,
     rand_invertible_matrix,
     rand_rational_matrix,
+    rational_matrices,
+    with_zero_rows,
 )
 
 
@@ -41,10 +46,7 @@ small_fraction = st.fractions(
 
 
 def matrix_strategy(m, n):
-    return st.lists(
-        st.lists(small_fraction, min_size=n, max_size=n),
-        min_size=m, max_size=m,
-    ).map(ConvMatrix.rational)
+    return rational_matrices((m, n), small_fraction)
 
 
 def _conv_reference(a, b):
@@ -120,6 +122,44 @@ class TestConvReference:
                                      for ra, rs in zip(a.data, sign.data)])
             assert conv(a, b) == _conv_reference(a, b)
             assert conv(a, scale(-1, b)) == scale(-1, _conv_reference(a, b))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(st.integers(1, 5), st.integers(1, 5)), st.data())
+    def test_huge_entries_exact(self, shape, data):
+        # numerators up to 10^40 over denominators up to 10^12
+        a = data.draw(rational_matrices(shape, huge_fraction))
+        b = data.draw(rational_matrices(shape, huge_fraction))
+        assert conv(a, b) == _conv_reference(a, b)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([(1, 1), (3, 3), (4, 5), (1, 8), (8, 1)]), st.data())
+    def test_coprime_denominators_exact(self, shape, data):
+        # distinct prime denominators: the common denominator is their product
+        a = data.draw(coprime_matrices(shape))
+        b = data.draw(coprime_matrices(shape))
+        assert conv(a, b) == _conv_reference(a, b)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([(2, 2), (4, 3), (1, 6), (6, 1)]), st.data())
+    def test_zero_rows_exact(self, shape, data):
+        a = data.draw(with_zero_rows(matrix_strategy(*shape)))
+        b = data.draw(with_zero_rows(rational_matrices(shape, huge_fraction)))
+        assert conv(a, b) == _conv_reference(a, b)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 1), (4, 4)])
+    def test_all_zero_operands(self, shape):
+        z = ConvMatrix.zeros(*shape)
+        a = rand_rational_matrix(random.Random(53), *shape)
+        for x, y in [(z, z), (z, a), (a, z)]:
+            assert conv(x, y) == _conv_reference(x, y) == z
+
+    def test_complex_bit_exact(self):
+        # Same loop, same order as the literal double sum: == , not a bound.
+        rng = np.random.default_rng(59)
+        for shape in [(16, 16), (1, 24), (9, 3)]:
+            a, b = (ConvMatrix.from_numpy(rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+                    for _ in range(2))
+            assert conv(a, b) == _conv_reference(a, b)
 
     def test_complex_against_numpy(self):
         rng = np.random.default_rng(43)
@@ -236,6 +276,12 @@ class TestInverses:
         for shape in [(1, 6), (3, 12), (2, 24)]:
             a = rand_invertible_matrix(rng, *shape)
             assert conv_inverse_ch(a) == conv_inverse_recursive(a)
+
+    def test_routes_agree_on_coprime_denominators(self):
+        # 144 distinct prime denominators: the CH route's products carry
+        # their full lcm, the recursive route never clears denominators.
+        a = coprime_matrix(random.Random(61), 12, 12)
+        assert conv_inverse_ch(a) == conv_inverse_recursive(a)
 
     def test_product_rule(self):
         # (A <> B)^(-1) = A^(-1) <> B^(-1)

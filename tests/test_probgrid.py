@@ -22,7 +22,14 @@ from juryconv import (
 from juryconv import numerics
 from juryconv.probgrid import embed, padded_poly_action
 
-from helpers import numpy_full_conv, rand_rational_matrix
+from helpers import (
+    coprime_matrices,
+    huge_fraction,
+    numpy_full_conv,
+    rand_rational_matrix,
+    rational_matrices,
+    with_zero_rows,
+)
 
 
 def rand_distribution(rng, m, n):
@@ -51,12 +58,6 @@ def _padded_conv_reference(a, b):
     return ConvMatrix(rows, cols, tuple(tuple(r) for r in out), a.scalar)
 
 
-def rational_matrices(shape):
-    entry = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-    return st.lists(st.lists(entry, min_size=shape[1], max_size=shape[1]),
-                    min_size=shape[0], max_size=shape[0]).map(ConvMatrix.rational)
-
-
 class TestPaddedReference:
     """padded_conv against the scatter-form full convolution."""
 
@@ -77,6 +78,52 @@ class TestPaddedReference:
         b = data.draw(rational_matrices(sb))
         assert padded_conv(a, b) == _padded_conv_reference(a, b)
         assert padded_conv(b, a) == _padded_conv_reference(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+           st.tuples(st.integers(1, 4), st.integers(1, 4)), st.data())
+    def test_huge_entries_exact(self, sa, sb, data):
+        # numerators up to 10^40 over denominators up to 10^12
+        a = data.draw(rational_matrices(sa, huge_fraction))
+        b = data.draw(rational_matrices(sb, huge_fraction))
+        assert padded_conv(a, b) == _padded_conv_reference(a, b)
+
+    @pytest.mark.parametrize("sa, sb", [((3, 3), (3, 3)), ((1, 6), (4, 1)),
+                                        ((2, 5), (5, 2)), ((7, 1), (1, 1))])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_coprime_denominators_exact(self, sa, sb, data):
+        a = data.draw(coprime_matrices(sa))
+        b = data.draw(coprime_matrices(sb))
+        assert padded_conv(a, b) == _padded_conv_reference(a, b)
+
+    @pytest.mark.parametrize("sa, sb", [((3, 2), (2, 4)), ((1, 5), (3, 1)), ((4, 4), (1, 1))])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_zero_rows_exact(self, sa, sb, data):
+        a = data.draw(with_zero_rows(rational_matrices(sa)))
+        b = data.draw(with_zero_rows(rational_matrices(sb, huge_fraction)))
+        assert padded_conv(a, b) == _padded_conv_reference(a, b)
+
+    def test_all_zero_operands(self):
+        rng = random.Random(83)
+        for sa, sb in [((1, 1), (2, 3)), ((3, 1), (1, 4)), ((2, 2), (3, 3))]:
+            za = ConvMatrix.zeros(*sa)
+            b = rand_rational_matrix(rng, *sb)
+            want = ConvMatrix.zeros(sa[0] + sb[0] - 1, sa[1] + sb[1] - 1)
+            assert padded_conv(za, b) == padded_conv(b, za) == _padded_conv_reference(za, b) == want
+
+    def test_complex_bit_exact(self):
+        # The scatter loop adds a[l, k] b in the order the kernel gathers
+        # it, both from complex 0: the results are equal, not just close.
+        rng = np.random.default_rng(67)
+        for shape in [(16, 16), (1, 24), (9, 3)]:
+            a, b = (ConvMatrix.from_numpy(rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+                    for _ in range(2))
+            assert padded_conv(a, b) == _padded_conv_reference(a, b)
+        a = ConvMatrix.from_numpy(rng.uniform(-1, 1, (9, 3)) + 1j * rng.uniform(-1, 1, (9, 3)))
+        b = ConvMatrix.from_numpy(rng.uniform(-1, 1, (1, 24)) + 1j * rng.uniform(-1, 1, (1, 24)))
+        assert padded_conv(a, b) == _padded_conv_reference(a, b)
 
     def test_complex_against_numpy(self):
         rng = np.random.default_rng(47)
