@@ -2,7 +2,8 @@
 
 Every M x N matrix is killed by (z - a00)^(M+N-1), the degree is tight
 across each shape, and the minimal exponent of a specific matrix is
-readable off its elementary partition sums.
+the first power at which A - a00 I vanishes.  The elementary partition
+sums vanish from the same order on; the tests hold the two to each other.
 """
 
 from juryconv import (

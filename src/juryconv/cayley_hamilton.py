@@ -4,10 +4,12 @@ Every M x N matrix is annihilated by (z - a00)^(M+N-1) under the
 convolution product, and that degree is tight: the all-ones matrix with
 its leading entry zeroed has nonvanishing powers up to order M+N-2.
 The minimal annihilator of a specific matrix is always (z - a00)^kappa
-for some kappa between 1 and M+N-1, and kappa is computable two
-independent ways: by scanning the elementary partition sums for the
-first order at which they all vanish, and by direct nilpotency of
-A - a00*I.  Both are run here and cross-checked.
+for some kappa between 1 and M+N-1: the first power at which
+G = A - a00*I vanishes.  It is computed here by that nilpotency alone.
+Since the elementary partition sums are E_l(A, i, j) = [G^l]_ij / l!,
+scanning them for the first order at which every far sum vanishes
+gives the same kappa by an exponential route; the tests keep that scan
+as the oracle.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from typing import Optional
 from . import numerics
 from .conv_core import ConvMatrix, conv, nilpotent_part
 from .numerics import RATIONAL
-from .partitions import elementary_sum
 from .transforms import Poly, sum_of_powers
 
-# Relative tolerance for "vanishes" on the complex-float backend; the
-# criterion is exact algebra, so a threshold has to be chosen.
+# Relative tolerance for "vanishes" on the complex-float backend: the
+# entries of a power of A - a00*I are compared against it times max|A|.
+# Nilpotency is exact algebra, so on floats a threshold has to be chosen.
 VANISH_RTOL = 1e-10
 
 
@@ -34,8 +36,7 @@ class AnnihilatorReport:
     ``minimal_degree`` is the exponent kappa of the minimal annihilator
     (z - root)^kappa; ``witness`` is an index at which the
     (kappa-1)-st power of A - root*I is nonzero (None when kappa = 1).
-    Both the partition-sum criterion and direct nilpotency were checked
-    before this report is produced.
+    Both come from direct nilpotency of A - root*I.
     """
 
     root: object
@@ -91,26 +92,6 @@ def tightness_witness(rows: int, cols: int) -> ConvMatrix:
     return nilpotent_part(ones)
 
 
-def _criterion_degree(a: ConvMatrix, threshold: float) -> int:
-    """Smallest kappa whose elementary sums vanish on all far anti-diagonals."""
-    d = a.rows + a.cols - 1
-    for kappa in range(1, d):
-        ok = True
-        for i in range(a.rows):
-            for j in range(a.cols):
-                if i + j < kappa:
-                    continue
-                if not numerics.is_zero_scalar(elementary_sum(a, kappa, (i, j)),
-                                               a.scalar, threshold):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return kappa
-    return d
-
-
 def _nilpotency_degree(a: ConvMatrix, threshold: float):
     """First kappa with (A - a00 I)^kappa = 0, plus a nonvanishing witness."""
     d = a.rows + a.cols - 1
@@ -131,24 +112,20 @@ def _nilpotency_degree(a: ConvMatrix, threshold: float):
 
 
 def minimal_polynomial(a: ConvMatrix, tol: Optional[float] = None) -> AnnihilatorReport:
-    """Compute the minimal annihilator exponent with a cross-check.
+    """Minimal annihilator exponent: the first kappa with (A - a00 I)^kappa = 0.
 
-    The partition-sum criterion is evaluated first (cheaper per
-    candidate order); direct nilpotency of A - a00*I then verifies it.
-    Disagreement would indicate a broken invariant and raises.
+    Powers of A - a00*I are formed by convolution until one vanishes
+    (entrywise within ``tol``; by default exactly on rationals and
+    within ``VANISH_RTOL * max|A|`` on floats).  The partition-sum
+    vanishing criterion computes the same kappa and is a test oracle.
     """
     threshold = _vanish_tol(a) if tol is None else tol
-    crit = _criterion_degree(a, threshold)
-    nil, witness = _nilpotency_degree(a, threshold)
-    if crit != nil:
-        raise AssertionError(
-            f"vanishing criterion gave degree {crit} but nilpotency gave {nil}"
-        )
+    kappa, witness = _nilpotency_degree(a, threshold)
     return AnnihilatorReport(
         root=a.data[0][0],
         ch_degree=a.rows + a.cols - 1,
-        minimal_degree=crit,
-        witness=witness if crit >= 2 else None,
+        minimal_degree=kappa,
+        witness=witness,
     )
 
 

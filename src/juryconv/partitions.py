@@ -3,11 +3,11 @@
 A "partition" here is a multiset of index pairs drawn from the grid
 K = [0:M-1] x [0:N-1] (or from K* = K minus the origin) whose
 componentwise sum hits a prescribed target.  These multisets index
-the entrywise expansion of convolution powers and the minimal
-polynomial vanishing criterion.  The elementary sums are the entries of
-G^(<>l) / l! for G = A - a00 I; the functional transforms evaluate them
-that way (:func:`juryconv.conv_core.ring_taylor`), so the partition
-route is their independent oracle.
+the entrywise expansion of convolution powers.  The elementary sums are
+the entries of G^(<>l) / l! for G = A - a00 I; the functional
+transforms (:func:`juryconv.conv_core.ring_taylor`) and the minimal
+polynomial work on the powers of G directly, so the partition route is
+the tests' independent oracle for both.
 
 Enumeration is recursive over grid elements in lexicographic order with
 a remaining-budget state, so results are deterministic and duplicate

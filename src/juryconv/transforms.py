@@ -96,13 +96,8 @@ class Poly:
 
     @staticmethod
     def binomial_power(root, d: int) -> "Poly":
-        """(z - root)^d expanded into coefficients."""
-        out = Poly.of([1])
-        linear = Poly.of([-root, 1]) if not isinstance(root, (float, complex)) \
-            else Poly(( -complex(root), complex(1.0) ))
-        for _ in range(d):
-            out = out * linear
-        return out
+        """(z - root)^d = sum_k C(d, k) (-root)^(d-k) z^k."""
+        return Poly.of([numerics.binomial(d, k) * (-root) ** (d - k) for k in range(d + 1)])
 
     @property
     def degree(self) -> int:

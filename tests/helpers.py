@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from juryconv import ConvMatrix
+from juryconv import ConvMatrix, elementary_sum
 
 
 def rand_fraction(rng: random.Random, lo: int = -9, hi: int = 9, max_den: int = 4) -> Fraction:
@@ -88,3 +88,18 @@ def with_zero_rows(matrices):
     return matrices.flatmap(lambda a: st.lists(st.booleans(), min_size=a.rows, max_size=a.rows).map(
         lambda mask: ConvMatrix.rational([[0] * a.cols if z else list(row)
                                           for row, z in zip(a.data, mask)])))
+
+
+def vanishing_degree(a: ConvMatrix) -> int:
+    """Smallest kappa whose elementary sums vanish (exactly) on all far anti-diagonals.
+
+    The partition-sum oracle for ``minimal_polynomial(a).minimal_degree``:
+    E_kappa(A, i, j) over every (i, j) with i + j >= kappa, each an
+    independent sum over multiset partitions of (i, j).
+    """
+    d = a.rows + a.cols - 1
+    for kappa in range(1, d):
+        if all(elementary_sum(a, kappa, (i, j)) == 0
+               for i in range(a.rows) for j in range(a.cols) if i + j >= kappa):
+            return kappa
+    return d

@@ -58,6 +58,7 @@ from helpers import (
     rand_invertible_matrix,
     rand_permutation,
     rand_rational_matrix,
+    vanishing_degree,
 )
 
 SHAPES = [(2, 2), (3, 3), (2, 5), (5, 5)]
@@ -165,8 +166,8 @@ def test_criterion_06_minimal_polynomials():
         ident = conv_identity(*shape)
         for _ in range(500):
             a = rand_rational_matrix(rng, *shape, lo=-3, hi=3, max_den=2)
-            # minimal_polynomial raises internally if the two routes disagree
             report = minimal_polynomial(a)
+            assert vanishing_degree(a) == report.minimal_degree
             shifted = a + scale(-a[0, 0], ident)
             assert conv_power_naive(shifted, report.minimal_degree).is_zero()
     # Remark-style 2x2 case table, all three branches

@@ -1,5 +1,6 @@
 """Annihilator degree and minimal polynomial tests."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,10 +21,11 @@ from juryconv import (
     tightness_witness,
 )
 from juryconv import cayley_hamilton
+from juryconv import partitions as partitions_mod
 from juryconv.cayley_hamilton import format_minimal_polynomial
 from juryconv.positivity import Interval
 
-from helpers import rand_fraction, rand_rational_matrix
+from helpers import rand_fraction, rand_rational_matrix, vanishing_degree
 
 
 class TestAnnihilation:
@@ -144,8 +146,38 @@ class TestMinimalPolynomial:
         report = minimal_polynomial(ConvMatrix.floats([[0.5, 0.2], [0.1, 0.9]]))
         assert report.minimal_degree == 3
 
+    def test_float_power_near_threshold(self):
+        # G^2 has 2x^2 = 1.5e-10 at (1, 1), above the 1e-10 threshold, while
+        # the elementary sum E_2 = x^2 = 0.75e-10 is below it.
+        x = math.sqrt(0.75e-10)
+        report = minimal_polynomial(ConvMatrix.floats([[1.0, x], [x, 0.0]]))
+        assert report.minimal_degree == 3
+        assert report.witness == (1, 1)
+
+    def test_never_enumerates_partitions(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("partition enumeration on the minimal-polynomial path")
+
+        monkeypatch.setattr(partitions_mod, "enumerate_partitions", refuse)
+        a = ConvMatrix.rational([[2] + [1] * 9] + [[0] * 10 for _ in range(9)])
+        report = minimal_polynomial(a)
+        assert report.minimal_degree == 10
+        assert report.witness == (0, 9)
+
     def test_format(self):
         rep = minimal_polynomial(ConvMatrix.rational([[5, 2], [3, 1]]))
         assert format_minimal_polynomial(rep) == "(z - 5)^3"
         rep0 = minimal_polynomial(ConvMatrix.rational([[0, 2], [3, 1]]))
         assert format_minimal_polynomial(rep0) == "z^3"
+
+
+class TestVanishingCriterionOracle:
+    @pytest.mark.parametrize("rows, kappa", [
+        ([[2, 1, 1, 1, 1]] + [[0] * 5] * 4, 5),
+        ([[3, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, -2, Fraction(1, 2), 0, 0], [0] * 5, [0] * 5], 3),
+    ])
+    def test_agrees_below_the_universal_degree(self, rows, kappa):
+        # kappa < M+N-1, so at order kappa the oracle scans every far index.
+        a = ConvMatrix.rational(rows)
+        assert minimal_polynomial(a).minimal_degree == kappa
+        assert vanishing_degree(a) == kappa

@@ -1,11 +1,12 @@
 """Command-line surface: commands, report embedding, exit codes."""
 
 import json
+import math
 from argparse import Namespace
 
 import pytest
 
-from juryconv import SeriesDivergenceError, cli
+from juryconv import ConvMatrix, SeriesDivergenceError, cli
 from juryconv import partitions as partitions_mod
 from juryconv.cli import main, parse_alpha_grid, parse_h_grid
 from juryconv.numerics import ScalarError
@@ -129,6 +130,24 @@ class TestMinpolyCommand:
         assert main(["minpoly", str(pa)]) == 0
         out = capsys.readouterr().out
         assert "(z - 1)^3" in out and "witness" in out
+
+    def test_float_power_near_threshold(self, tmp_path, capsys):
+        x = math.sqrt(0.75e-10)
+        p = tmp_path / "near.json"
+        p.write_text(ConvMatrix.floats([[1.0, x], [x, 0.0]]).to_json())
+        assert main(["minpoly", str(p)]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1
+
+    def test_never_enumerates_partitions(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("partition enumeration on the minimal-polynomial path")
+
+        monkeypatch.setattr(partitions_mod, "enumerate_partitions", refuse)
+        p = tmp_path / "row0.json"
+        p.write_text(ConvMatrix.rational([[2] + [1] * 9] + [[0] * 10 for _ in range(9)]).to_json())
+        assert main(["minpoly", str(p)]) == 0
+        assert capsys.readouterr().out.startswith("(z - 2)^10")
 
 
 class TestBruhatCommand:

@@ -102,6 +102,16 @@ class TestPoly:
         p = Poly.binomial_power(Fraction(2), 3)  # (z-2)^3
         assert p.coeffs == (Fraction(-8), Fraction(12), Fraction(-6), Fraction(1))
 
+    @pytest.mark.parametrize("root", [Fraction(0), Fraction(2), Fraction(-3),
+                                      Fraction(5, 7), Fraction(-11, 4)])
+    def test_binomial_power_matches_repeated_products(self, root):
+        # Oracle: d products by the linear factor z - root.
+        linear = Poly.of([-root, 1])
+        expect = Poly.of([1])
+        for d in range(13):
+            assert Poly.binomial_power(root, d) == expect
+            expect = expect * linear
+
 
 class TestFunctionSpec:
     def test_json_roundtrips(self):
