@@ -19,14 +19,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import numerics
-from .conv_core import ConvMatrix, conv, nilpotent_part
-from .numerics import RATIONAL
-from .transforms import Poly, sum_of_powers
-
-# Relative tolerance for "vanishes" on the complex-float backend: the
-# entries of a power of A - a00*I are compared against it times max|A|.
-# Nilpotency is exact algebra, so on floats a threshold has to be chosen.
-VANISH_RTOL = 1e-10
+from .conv_core import ConvMatrix, conv, nilpotent_part, ring_taylor
+from .numerics import COMPLEX, RATIONAL
+from .transforms import Poly, poly_transform
 
 
 @dataclass(frozen=True)
@@ -36,7 +31,8 @@ class AnnihilatorReport:
     ``minimal_degree`` is the exponent kappa of the minimal annihilator
     (z - root)^kappa; ``witness`` is an index at which the
     (kappa-1)-st power of A - root*I is nonzero (None when kappa = 1).
-    Both come from direct nilpotency of A - root*I.
+    Both come from direct nilpotency of A - root*I (on floats, read
+    against :func:`_rounding_tol`).
     """
 
     root: object
@@ -45,10 +41,21 @@ class AnnihilatorReport:
     witness: Optional[tuple]
 
 
-def _vanish_tol(a: ConvMatrix) -> float:
-    if a.scalar == RATIONAL:
-        return 0.0
-    return VANISH_RTOL * a.max_abs()
+def _modulus(a: ConvMatrix) -> ConvMatrix:
+    """|A|, entrywise, on the complex backend."""
+    return ConvMatrix(a.rows, a.cols,
+                      tuple(tuple(complex(abs(v)) for v in row) for row in a.data), COMPLEX)
+
+
+def _rounding_tol(a: ConvMatrix, magnitude: float) -> float:
+    """Largest float entry that reads as zero: d*M*N*eps times ``magnitude``.
+
+    ``magnitude`` bounds what was summed into the entry; d = M+N-1 products
+    of inner products of length M*N give this worst-case rounding bound
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 5.1).
+    """
+    d = a.rows + a.cols - 1
+    return d * a.rows * a.cols * sys.float_info.epsilon * magnitude
 
 
 def ch_polynomial(a: ConvMatrix) -> Poly:
@@ -56,29 +63,26 @@ def ch_polynomial(a: ConvMatrix) -> Poly:
     return Poly.binomial_power(a.data[0][0], a.rows + a.cols - 1)
 
 
-def ch_check(a: ConvMatrix, tol: Optional[float] = None) -> bool:
+def ch_check(a: ConvMatrix) -> bool:
     """Does (z - a00)^(M+N-1) annihilate A under convolution?
 
-    Always true; evaluated literally as the sum of powers
-    sum_k C(d, k) (-a00)^(d-k) A^(<>k), d = M+N-1, so the check is an
-    independent computation rather than a restatement.  On rationals the
-    sum must be exactly zero.  On floats its terms cancel, so every
-    entry of the sum must lie within d*M*N*eps times
-    sum_k |c_k| max|A^(<>k)|, the magnitude of the terms, accumulated in
-    the same pass (a worst-case rounding bound for sums of products of
-    that length).  The measured ratio of residual to magnitude is below
-    1.2e-16 on PSD samples up to 16x16.  The float check can certify
-    that the sum vanishes to rounding, not that degree d is needed: at
-    12x12 and beyond, (z - a00)^(d-1) also passes, because the
-    (d-1)-st power of A - a00 I is itself below rounding there relative
-    to the terms.  An explicit ``tol`` replaces the bound by an absolute
-    threshold on the entries.
+    Always true; evaluated as sum_k C(d, k) (-a00)^(d-k) A^(<>k),
+    d = M+N-1, by Horner in A (:func:`juryconv.transforms.poly_transform`),
+    which never forms G = A - a00 I: an independent computation, not a
+    restatement of nilpotency.  On rationals the sum must be exactly zero.
+    On floats its terms cancel, so each entry must be within
+    :func:`_rounding_tol` of max(sum_k |c_k| |A|^(<>k)), the same Horner
+    run at |A|: the textbook running bound for Horner's rule.  The float
+    check certifies that the sum vanishes to rounding, not that degree d
+    is needed: from 12x12 up, (z - a00)^(d-1) passes too, because
+    G^(<>(d-1)) is itself below rounding there relative to the terms.
     """
-    result, magnitude = sum_of_powers(ch_polynomial(a), a)
-    if tol is None:
-        d = a.rows + a.cols - 1
-        tol = d * a.rows * a.cols * sys.float_info.epsilon * magnitude
-    return result.is_zero(tol)
+    p = ch_polynomial(a)
+    residual = poly_transform(p, a)
+    if a.scalar == RATIONAL:
+        return residual.is_zero()
+    magnitude = ring_taylor([abs(c) for c in p.coeffs], _modulus(a)).max_abs()
+    return residual.is_zero(_rounding_tol(a, magnitude))
 
 
 def tightness_witness(rows: int, cols: int) -> ConvMatrix:
@@ -92,13 +96,16 @@ def tightness_witness(rows: int, cols: int) -> ConvMatrix:
     return nilpotent_part(ones)
 
 
-def _nilpotency_degree(a: ConvMatrix, threshold: float):
+def _nilpotency_degree(a: ConvMatrix):
     """First kappa with (A - a00 I)^kappa = 0, plus a nonvanishing witness."""
     d = a.rows + a.cols - 1
     base = nilpotent_part(a)
-    power = base
+    exact = a.scalar == RATIONAL
+    modulus = None if exact else _modulus(base)
+    power, bound = base, modulus
     witness = None
     for kappa in range(1, d + 1):
+        threshold = 0.0 if exact else _rounding_tol(a, bound.max_abs())
         if power.is_zero(threshold):
             return kappa, witness
         witness = next(
@@ -107,20 +114,23 @@ def _nilpotency_degree(a: ConvMatrix, threshold: float):
         )
         if kappa < d:
             power = conv(power, base)
+            if not exact:
+                bound = conv(bound, modulus)
     # Unreachable for exact arithmetic; guards float noise.
     return d, witness
 
 
-def minimal_polynomial(a: ConvMatrix, tol: Optional[float] = None) -> AnnihilatorReport:
+def minimal_polynomial(a: ConvMatrix) -> AnnihilatorReport:
     """Minimal annihilator exponent: the first kappa with (A - a00 I)^kappa = 0.
 
-    Powers of A - a00*I are formed by convolution until one vanishes
-    (entrywise within ``tol``; by default exactly on rationals and
-    within ``VANISH_RTOL * max|A|`` on floats).  The partition-sum
-    vanishing criterion computes the same kappa and is a test oracle.
+    Powers of G = A - a00*I are formed by convolution until one
+    vanishes: exactly on rationals; on floats, entrywise within
+    :func:`_rounding_tol` of max |G|^(<>kappa), with the powers of |G|
+    walked next to those of G.  The rule scales with G, so A and 10^-k A
+    get the same kappa.  The partition-sum vanishing criterion computes
+    the same kappa and is a test oracle.
     """
-    threshold = _vanish_tol(a) if tol is None else tol
-    kappa, witness = _nilpotency_degree(a, threshold)
+    kappa, witness = _nilpotency_degree(a)
     return AnnihilatorReport(
         root=a.data[0][0],
         ch_degree=a.rows + a.cols - 1,

@@ -73,24 +73,23 @@ DEFAULT_ALPHA_GRID = (0.3, 1.7, 2.5, -0.5)
 class RunConfig:
     """Configuration echoed into every report for reproducibility."""
 
-    command: str
     n: int = 4
     trials: int = 100
     seed: int = 0
     tol: float = positivity.DEFAULT_TOL
-    backend: str = RATIONAL
     alpha_grid: tuple = DEFAULT_ALPHA_GRID
     h_grid: tuple = ()
-    out: Optional[str] = None
 
     def to_dict(self) -> dict:
+        # Reports keep the "command" and "backend" keys they have always
+        # carried: suites run only from `suite`, and none reads a backend.
         return {
-            "command": self.command,
+            "command": "suite",
             "n": self.n,
             "trials": self.trials,
             "seed": self.seed,
             "tol": self.tol,
-            "backend": self.backend,
+            "backend": RATIONAL,
             "alpha_grid": list(self.alpha_grid),
             "h_grid": list(self.h_grid),
         }
@@ -408,7 +407,6 @@ SUITES = {
 
 def cmd_suite(args) -> int:
     cfg = RunConfig(
-        command="suite",
         n=args.n,
         trials=args.trials,
         seed=args.seed,
@@ -416,7 +414,6 @@ def cmd_suite(args) -> int:
         alpha_grid=parse_alpha_grid(args.alpha_grid) if args.alpha_grid
         else DEFAULT_ALPHA_GRID,
         h_grid=parse_h_grid(args.h_grid) if args.h_grid else (),
-        out=args.out,
     )
     body, ok = SUITES[args.name](cfg)
     payload = {

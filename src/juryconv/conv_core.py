@@ -10,9 +10,11 @@ The multiplicative identity has a single 1 at (0, 0).  A matrix is
 invertible exactly when its (0, 0) entry is nonzero; both inverse
 constructions (back-substitution along anti-diagonals, and the closed
 form derived from the degree-(M+N-1) annihilating polynomial) live
-here.  So does :func:`ring_taylor`, the Horner kernel for polynomials in
-the nilpotent part G = A - a00 I, which serves the closed-form inverse
-and the functional calculus.
+here.  So does :func:`ring_taylor`, Horner for sum_l c_l X^(<>l) at any
+X, the library's one polynomial evaluator: at G = A - a00 I for the
+closed-form inverse and the functional calculus, at A for the polynomial
+action, the annihilator check and the padded action of
+:mod:`juryconv.probgrid`.
 
 The convolution sum itself is written once, in :func:`_conv_window`,
 which returns a top-left window of the full 2-D convolution.  On the
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -474,26 +475,22 @@ def nilpotent_part(a: ConvMatrix) -> ConvMatrix:
     return ConvMatrix(a.rows, a.cols, (first,) + a.data[1:], a.scalar)
 
 
-def ring_taylor(coeffs: Iterable, g: ConvMatrix) -> ConvMatrix:
-    """sum_l coeffs[l] G^(<>l) for G with zero (0, 0) entry, by Horner.
+def ring_taylor(coeffs: Iterable, x: ConvMatrix) -> ConvMatrix:
+    """sum_l coeffs[l] X^(<>l) for any X, by Horner: R <- R <> X + c I.
 
-    Powers of order M+N-1 and above vanish, so only the first M+N-1
-    coefficients are read and at most M+N-2 products are taken.
-    Coefficients are coerced to G's backend: on the rational backend they
-    must be exact (ints, Fractions or "p/q" strings).
+    n coefficients cost n-1 products and form no power of X.  At the
+    nilpotent part G, whose powers vanish from order M+N-1, callers pass
+    M+N-1 coefficients.  Coefficients are coerced to X's backend: on the
+    rational backend they must be exact (ints, Fractions or "p/q" strings).
     """
-    if g.data[0][0] != 0:
-        raise ValueError(f"ring_taylor needs a zero (0, 0) entry, got {g.data[0][0]!r}")
-    cs = [numerics.coerce(c, g.scalar)
-          for c in itertools.islice(coeffs, g.rows + g.cols - 1)]
+    cs = [numerics.coerce(c, x.scalar) for c in coeffs]
     if not cs:
-        return ConvMatrix.zeros(g.rows, g.cols, g.scalar)
-    result = scale(cs[-1], conv_identity(g.rows, g.cols, g.scalar))
+        return ConvMatrix.zeros(x.rows, x.cols, x.scalar)
+    result = scale(cs[-1], conv_identity(x.rows, x.cols, x.scalar))
     for c in reversed(cs[:-1]):
-        # (R <> G)[0, 0] = 0, so adding c I sets the origin entry to c.
-        prod = conv(result, g)
-        first = (c,) + prod.data[0][1:]
-        result = ConvMatrix(g.rows, g.cols, (first,) + prod.data[1:], g.scalar)
+        prod = conv(result, x)
+        first = (prod.data[0][0] + c,) + prod.data[0][1:]
+        result = ConvMatrix(x.rows, x.cols, (first,) + prod.data[1:], x.scalar)
     return result
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import numerics
-from .conv_core import ConvMatrix, conv_identity, nilpotent_part, padded_conv
+from .conv_core import ConvMatrix, conv_identity, nilpotent_part, padded_conv, ring_taylor
 from .numerics import RATIONAL
 from .positivity import DEFAULT_TOL, is_psd
 
@@ -54,21 +54,18 @@ def embed(a: ConvMatrix, rows: int, cols: int) -> ConvMatrix:
 
 
 def padded_poly_action(coeffs: Sequence, a: ConvMatrix) -> ConvMatrix:
-    """sum_k c_k A^(<>k) on the growing window (degree decides the window)."""
+    """sum_k c_k A^(<>k) on the growing window (degree decides the window).
+
+    Horner in A zero-extended to the window of the top power: that window
+    holds every lower power, so its ring product truncates nothing.
+    """
     coeffs = list(coeffs)
     if not coeffs:
         raise ValueError("empty coefficient list")
     deg = len(coeffs) - 1
-    rows = deg * (a.rows - 1) + 1
-    cols = deg * (a.cols - 1) + 1
-    total = ConvMatrix.zeros(rows, cols, a.scalar)
-    power = padded_power(a, 0)
-    for k, c in enumerate(coeffs):
-        term = embed(power, rows, cols)
-        total = total + numerics.coerce(c, a.scalar) * term
-        if k < deg:
-            power = padded_conv(power, a)
-    return total
+    # At degree 0 the window is 1x1, A need not fit it, and Horner takes no product.
+    x = embed(a, deg * (a.rows - 1) + 1, deg * (a.cols - 1) + 1) if deg else padded_power(a, 0)
+    return ring_taylor(coeffs, x)
 
 
 @dataclass(frozen=True)

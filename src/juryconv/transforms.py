@@ -14,7 +14,9 @@ functional and entrywise calculi for this ring.  A step-size variant
 replaces the derivatives by divided differences, so the transform
 applies to functions with no assumed regularity; as the step shrinks it
 recovers the smooth version.  The two modes of :func:`poly_transform`
-are independent routes: powers of A, against the Taylor sum in G.
+are independent routes through the same kernel: Horner in A with the
+coefficients c_k, against Horner in G with the Taylor coefficients
+p^(l)(a00) / l!; the kernel's own oracle is the naive sum of powers.
 
 The module also hosts the bivariate-series matrix for real powers:
 entry (i, j) is i! j! times the x^i y^j coefficient of F(x, y)^alpha,
@@ -348,10 +350,11 @@ PARTITION_FORMULA = "partition_formula"
 def poly_transform(p, a: ConvMatrix, mode: str = SUM_OF_POWERS) -> ConvMatrix:
     """Action of a polynomial on a matrix in the convolution ring.
 
-    ``sum_of_powers`` evaluates c0 I + c1 A + c2 A<>A + ... directly;
-    ``partition_formula`` goes through the derivative expansion of
-    :func:`smooth_transform`, a Taylor sum in G = A - a00 I.  The two
-    agree exactly on the rational backend.
+    ``sum_of_powers`` evaluates c0 I + c1 A + c2 A<>A + ... by Horner in
+    A with :func:`juryconv.conv_core.ring_taylor`; ``partition_formula``
+    goes through the derivative expansion of :func:`smooth_transform`, a
+    Taylor sum in G = A - a00 I.  The two agree exactly on the rational
+    backend.
     """
     if not isinstance(p, Poly):
         p = Poly.of(p)
@@ -359,33 +362,8 @@ def poly_transform(p, a: ConvMatrix, mode: str = SUM_OF_POWERS) -> ConvMatrix:
         return smooth_transform(FunctionSpec.polynomial(p), a)
     if mode != SUM_OF_POWERS:
         raise ValueError(f"unknown mode {mode!r}")
-    return sum_of_powers(p, a)[0]
-
-
-def sum_of_powers(p: Poly, a: ConvMatrix):
-    """c0 I + c1 A + c2 A<>A + ..., with the magnitude of its terms.
-
-    Returns ``(result, magnitude)``; ``magnitude`` is 0 on the exact
-    route.  On floats it is sum_k |c_k| max|A^(<>k)|, accumulated over
-    the same powers: the size of the terms being summed, against which
-    the rounding error of the sum is measured (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, section 5.1).  A float result
-    can only be read as zero relative to this magnitude, since terms of
-    that size cancel.
-    """
     exact = p.is_exact and a.scalar == RATIONAL
-    if not exact:
-        a = a.astype(COMPLEX)
-    result = ConvMatrix.zeros(a.rows, a.cols, a.scalar)
-    power = conv_identity(a.rows, a.cols, a.scalar)
-    magnitude = 0.0
-    for k, c in enumerate(p.coeffs):
-        result = add(result, scale(c, power))
-        if not exact:
-            magnitude += abs(c) * power.max_abs()
-        if k + 1 < len(p.coeffs):
-            power = conv(power, a)
-    return result, magnitude
+    return ring_taylor(p.coeffs, a if exact else a.astype(COMPLEX))
 
 
 def _taylor(values, exact: bool) -> list:

@@ -147,12 +147,32 @@ class TestMinimalPolynomial:
         assert report.minimal_degree == 3
 
     def test_float_power_near_threshold(self):
-        # G^2 has 2x^2 = 1.5e-10 at (1, 1), above the 1e-10 threshold, while
-        # the elementary sum E_2 = x^2 = 0.75e-10 is below it.
+        # G^2 has 2x^2 = 1.5e-10 at (1, 1), where the elementary sum
+        # E_2 = x^2 is half of it; both are far above rounding of |G|^2.
         x = math.sqrt(0.75e-10)
         report = minimal_polynomial(ConvMatrix.floats([[1.0, x], [x, 0.0]]))
         assert report.minimal_degree == 3
         assert report.witness == (1, 1)
+
+    @pytest.mark.parametrize("x", [1e-6, 1e-11])
+    def test_float_small_nilpotent_part(self, x):
+        # G^2 = 2x^2 at (1, 1) is tiny next to max|A| = 1, but it is all of
+        # |G|^2, so it does not vanish.
+        report = minimal_polynomial(ConvMatrix.floats([[1.0, x], [x, 0.0]]))
+        assert report.minimal_degree == 3
+        assert report.witness == (1, 1)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 5), (4, 4), (5, 5)])
+    def test_float_degree_matches_exact_under_scaling(self, shape):
+        # Criterion-06 draws, exact cancellations included; scaling by 10^-k
+        # leaves kappa alone, and so must the float rounding rule.
+        rng = random.Random(83)
+        for _ in range(40):
+            a = rand_rational_matrix(rng, *shape, lo=-3, hi=3, max_den=2)
+            kappa = minimal_polynomial(a).minimal_degree
+            for k in (0, 3, 6):
+                scaled = scale(Fraction(1, 10 ** k), a).astype("complex")
+                assert minimal_polynomial(scaled).minimal_degree == kappa, (a, k)
 
     def test_never_enumerates_partitions(self, monkeypatch):
         def refuse(*args, **kwargs):

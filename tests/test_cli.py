@@ -139,6 +139,13 @@ class TestMinpolyCommand:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 1
 
+    def test_float_small_nilpotent_part(self, tmp_path, capsys):
+        x = 1e-11
+        p = tmp_path / "small.json"
+        p.write_text(ConvMatrix.floats([[1.0, x], [x, 0.0]]).to_json())
+        assert main(["minpoly", str(p)]) == 0
+        assert "^3" in capsys.readouterr().out
+
     def test_never_enumerates_partitions(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("partition enumeration on the minimal-polynomial path")

@@ -321,15 +321,17 @@ class TestFloatInverseResiduals:
 
 class TestRingTaylor:
     def test_matches_sum_of_powers(self):
+        # At G (zero origin) and at A itself (a00 != 0); lists run past M+N.
         rng = random.Random(31)
-        for shape in [(1, 1), (1, 4), (3, 3), (4, 2)]:
-            g = nilpotent_part(rand_rational_matrix(rng, *shape))
+        for shape in [(1, 1), (1, 4), (3, 3), (4, 2), (2, 5)]:
+            a = rand_invertible_matrix(rng, *shape)
             coeffs = [rand_fraction(rng) for _ in range(shape[0] + shape[1] + 2)]
-            for k in range(len(coeffs) + 1):
-                want = ConvMatrix.zeros(*shape)
-                for l, c in enumerate(coeffs[:k]):
-                    want = add(want, scale(c, conv_power_naive(g, l)))
-                assert ring_taylor(coeffs[:k], g) == want
+            for x in (nilpotent_part(a), a):
+                for k in range(len(coeffs) + 1):
+                    want = ConvMatrix.zeros(*shape)
+                    for l, c in enumerate(coeffs[:k]):
+                        want = add(want, scale(c, conv_power_naive(x, l)))
+                    assert ring_taylor(coeffs[:k], x) == want
 
     def test_complex_backend_and_coercion(self):
         g = ConvMatrix.floats([[0.0, 0.5], [0.25, 1.0]])
@@ -341,10 +343,6 @@ class TestRingTaylor:
     def test_rational_rejects_float_coefficients(self):
         with pytest.raises(ScalarError):
             ring_taylor([1, 0.5], ConvMatrix.rational([[0, 1]]))
-
-    def test_requires_zero_origin(self):
-        with pytest.raises(ValueError):
-            ring_taylor([1, 1], ConvMatrix.rational([[1, 1]]))
 
 
 class TestElementwiseOps:

@@ -26,6 +26,7 @@ from helpers import (
     coprime_matrices,
     huge_fraction,
     numpy_full_conv,
+    rand_fraction,
     rand_rational_matrix,
     rational_matrices,
     with_zero_rows,
@@ -315,6 +316,21 @@ class TestSemiInfinite:
         a = ConvMatrix.rational([[0, 0], [0, 3]])  # diag(2,3) - 2 I
         p = padded_power(a, 2)
         assert p[2, 2] >= 9
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 1), (1, 4), (4, 2), (2, 2)])
+    def test_poly_action_matches_padded_powers(self, shape):
+        # The term-by-term sum of padded powers, each zero-extended to the window.
+        rng = random.Random(59)
+        a = rand_rational_matrix(rng, *shape)
+        for coeffs in ([rand_fraction(rng)],
+                       [rand_fraction(rng) for _ in range(3)],
+                       [rand_fraction(rng) for _ in range(4)] + [Fraction(0)]):
+            deg = len(coeffs) - 1
+            rows, cols = deg * (shape[0] - 1) + 1, deg * (shape[1] - 1) + 1
+            want = ConvMatrix.zeros(rows, cols)
+            for k, c in enumerate(coeffs):
+                want = want + c * embed(padded_power(a, k), rows, cols)
+            assert padded_poly_action(coeffs, a) == want
 
     def test_poly_action_lists_coefficients(self):
         a = ConvMatrix.rational([[0, 0], [0, 1]])
