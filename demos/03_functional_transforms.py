@@ -1,10 +1,12 @@
-"""The functional calculus: polynomial action, smooth and stepped transforms.
+"""The functional calculus: polynomial action, transforms and power series.
 
 A scalar function f acts on a matrix through its derivatives at the
 leading entry contracted against the elementary partition sums.  The
 action is multiplicative for convolution; replacing derivatives by
 divided differences gives a transform defined for arbitrary functions
-that recovers the smooth one as the step shrinks.
+that recovers the smooth one as the step shrinks.  A power series acts
+through the same finite Taylor sum, since the part of the matrix off the
+leading entry is nilpotent.
 """
 
 import math
@@ -60,7 +62,12 @@ for k in range(0, 11, 2):
     print(f"  h = 2^-{k:<2d}: {dist:.3e}")
 
 print("\n-- series evaluation ---------------------------------------")
-result = series_transform((1 / math.factorial(k) for k in range(100)), hollow)
-print(f"exp series settled after {result.terms_used} terms, "
-      f"tail bound {result.tail_bound:.2e}")
-print(result.matrix)
+# The stream folds into the M+N-1 scalars d_l = sum_k c_k C(k, l) a00^(k-l);
+# one Horner run then sums d_l G^l in the nilpotent part G.
+exp_stream = [1 / math.factorial(k) for k in range(100)]
+for m in (hollow, ConvMatrix.floats([[0.5, 1], [1, 0.5]])):
+    result = series_transform(exp_stream, m)
+    print(f"exp series at a00 = {m[0, 0].real}: {result.terms_used} scalar terms "
+          f"folded into {m.rows + m.cols - 1} coefficients, last relative "
+          f"increment {result.tail_bound:.1e}")
+    print(result.matrix)

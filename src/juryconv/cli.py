@@ -2,8 +2,8 @@
 
 Exit-code contract: 0 when every expectation is met, 1 when an
 expectation is violated, 2 on usage, parse or library errors (an
-enumeration or series budget overrun included), reported as one
-``error:`` line on stderr.  For the
+enumeration or series budget overrun, an overflow or a division by
+zero included), reported as one ``error:`` line on stderr.  For the
 necessity-direction experiments a found counterexample IS the
 expectation (the manifest below declares which suites expect one), so
 those report exit code 0 when the violation shows up.  Every report
@@ -504,7 +504,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except (ScalarError, ValueError, EnumerationLimitError, SeriesDivergenceError) as exc:
+    except (ValueError, ArithmeticError, EnumerationLimitError, SeriesDivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

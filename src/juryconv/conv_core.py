@@ -11,9 +11,10 @@ invertible exactly when its (0, 0) entry is nonzero; both inverse
 constructions (back-substitution along anti-diagonals, and the closed
 form derived from the degree-(M+N-1) annihilating polynomial) live
 here.  So does :func:`ring_taylor`, Horner for sum_l c_l X^(<>l) at any
-X, the library's one polynomial evaluator: at G = A - a00 I for the
-closed-form inverse and the functional calculus, at A for the polynomial
-action, the annihilator check and the padded action of
+X, the library's one polynomial evaluator: at G = A - a00 I (where its
+steps skip the anti-diagonals no later step reads) for the closed-form
+inverse, the functional calculus and power series, at A for the
+polynomial action, the annihilator check and the padded action of
 :mod:`juryconv.probgrid`.
 
 The convolution sum itself is written once, in :func:`_conv_window`,
@@ -36,7 +37,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -302,7 +303,8 @@ def antidiagonal_indices(rows: int, cols: int) -> Iterator[tuple]:
 # ring operations
 # ----------------------------------------------------------------------
 
-def _conv_window(a: ConvMatrix, b: ConvMatrix, rows: int, cols: int) -> ConvMatrix:
+def _conv_window(a: ConvMatrix, b: ConvMatrix, rows: int, cols: int,
+                 top: Optional[int] = None) -> ConvMatrix:
     """Top-left rows x cols window of the full 2-D convolution of a and b.
 
     Entry (i, j) gathers a[l, k] b[i-l, j-k] over every (l, k) with both
@@ -313,7 +315,8 @@ def _conv_window(a: ConvMatrix, b: ConvMatrix, rows: int, cols: int) -> ConvMatr
     entry becomes one ``Fraction(sum, da*db)`` with a single gcd, equal
     to the Fraction sum.  Complex entries run through the same loop in
     the same order, so their results are bit-for-bit those of the plain
-    float sum.
+    float sum.  Only anti-diagonals i+j <= ``top`` (default: all) are
+    summed; the rest stay zero, for :func:`ring_taylor`'s cap.
     """
     ad, bd, zero, finish = numerics.integer_operands(a.data, b.data, a.scalar)
     col_ranges = [range(max(0, j - b.cols + 1), min(j, a.cols - 1) + 1)
@@ -323,13 +326,15 @@ def _conv_window(a: ConvMatrix, b: ConvMatrix, rows: int, cols: int) -> ConvMatr
         row_pairs = [(ad[l], bd[i - l])
                      for l in range(max(0, i - b.rows + 1), min(i, a.rows - 1) + 1)]
         row = []
-        for j, ks in enumerate(col_ranges):
+        for j, ks in enumerate(col_ranges if top is None else col_ranges[:max(0, top - i + 1)]):
             acc = zero
             for arow, brow in row_pairs:
                 for k in ks:
                     acc += arow[k] * brow[j - k]
             row.append(acc)
         out.append(row)
+    if top is not None:
+        out = [row + [zero] * (cols - len(row)) for row in out]
     return ConvMatrix(rows, cols, finish(out), a.scalar)
 
 
@@ -476,20 +481,25 @@ def nilpotent_part(a: ConvMatrix) -> ConvMatrix:
 
 
 def ring_taylor(coeffs: Iterable, x: ConvMatrix) -> ConvMatrix:
-    """sum_l coeffs[l] X^(<>l) for any X, by Horner: R <- R <> X + c I.
+    """sum_l coeffs[l] X^(<>l) for any X, by Horner: R_l = R_(l+1) <> X + c_l I.
 
     n coefficients cost n-1 products and form no power of X.  At the
     nilpotent part G, whose powers vanish from order M+N-1, callers pass
     M+N-1 coefficients.  Coefficients are coerced to X's backend: on the
     rational backend they must be exact (ints, Fractions or "p/q" strings).
+    At a zero origin step l sums only anti-diagonals i+j <= M+N-2-l, all
+    R_0 needs: (R <> X)[i, j] reads R on lower anti-diagonals, save the
+    zero product R[i, j] X[0, 0].  Skipped entries stay zero; as sums
+    start at +0 the result is bit-for-bit the uncapped loop's.
     """
     cs = [numerics.coerce(c, x.scalar) for c in coeffs]
     if not cs:
         return ConvMatrix.zeros(x.rows, x.cols, x.scalar)
+    full, nilpotent = x.rows + x.cols - 2, x.data[0][0] == 0
     result = scale(cs[-1], conv_identity(x.rows, x.cols, x.scalar))
-    for c in reversed(cs[:-1]):
-        prod = conv(result, x)
-        first = (prod.data[0][0] + c,) + prod.data[0][1:]
+    for l in range(len(cs) - 2, -1, -1):
+        prod = _conv_window(result, x, x.rows, x.cols, full - l if nilpotent else None)
+        first = (prod.data[0][0] + cs[l],) + prod.data[0][1:]
         result = ConvMatrix(x.rows, x.cols, (first,) + prod.data[1:], x.scalar)
     return result
 

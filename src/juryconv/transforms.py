@@ -13,10 +13,13 @@ convolution product, which is what makes it the right analogue of the
 functional and entrywise calculi for this ring.  A step-size variant
 replaces the derivatives by divided differences, so the transform
 applies to functions with no assumed regularity; as the step shrinks it
-recovers the smooth version.  The two modes of :func:`poly_transform`
-are independent routes through the same kernel: Horner in A with the
-coefficients c_k, against Horner in G with the Taylor coefficients
-p^(l)(a00) / l!; the kernel's own oracle is the naive sum of powers.
+recovers the smooth version.  A power series sum_k c_k A^(<>k) is the
+same Taylor sum with d_l = sum_k c_k C(k, l) a00^(k-l): the coefficient
+stream is folded into those M+N-1 scalars, and convergence is a test on
+them.  The two modes of :func:`poly_transform` are independent routes
+through the same kernel: Horner in A with the coefficients c_k, against
+Horner in G with the Taylor coefficients p^(l)(a00) / l!; the kernel's
+own oracle is the naive sum of powers.
 
 The module also hosts the bivariate-series matrix for real powers:
 entry (i, j) is i! j! times the x^i y^j coefficient of F(x, y)^alpha,
@@ -34,15 +37,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from . import numerics
 from .numerics import COMPLEX, RATIONAL, ScalarError
-from .conv_core import (
-    ConvMatrix,
-    add,
-    conv,
-    conv_identity,
-    nilpotent_part,
-    ring_taylor,
-    scale,
-)
+from .conv_core import ConvMatrix, nilpotent_part, ring_taylor
 
 
 class DomainError(ValueError):
@@ -241,11 +236,7 @@ class FunctionSpec:
                 coeff *= self.alpha - j
             return coeff * xf ** (self.alpha - ell)
         if self.kind == "series":
-            acc = 0.0
-            for k in range(len(self.coeffs) - 1, ell - 1, -1):
-                fall = numerics.factorial(k) / numerics.factorial(k - ell)
-                acc = acc * xf + fall * self.coeffs[k]
-            return acc
+            return Poly(self.coeffs).derivative_value(ell, xf)
         raise ScalarError(f"unknown function kind {self.kind!r}")
 
     # -- serialization ------------------------------------------------------
@@ -424,7 +415,7 @@ def stepped_transform(f: FunctionSpec, a: ConvMatrix, h) -> ConvMatrix:
 
 @dataclass(frozen=True)
 class SeriesTransformResult:
-    """Partial-sum evaluation of sum_k c_k A^(<>k) with its tail metadata."""
+    """sum_k c_k A^(<>k) with the scalar metadata of the fold that gave it."""
 
     matrix: ConvMatrix
     terms_used: int
@@ -441,53 +432,52 @@ def series_transform(coeffs: Iterable[float], a: ConvMatrix,
                      truncation: Optional[int] = None,
                      tail_tol: float = SERIES_TAIL_TOL,
                      term_budget: int = SERIES_TERM_BUDGET) -> SeriesTransformResult:
-    """Evaluate a power series on a matrix by partial sums of conv powers.
+    """Evaluate a power series sum_k c_k A^(<>k) on a matrix.
 
-    Stops at the requested truncation index, at stream exhaustion, or --
-    when no truncation is given -- once several consecutive terms are
-    negligible relative to the running partial sum.  Raises
-    :class:`SeriesDivergenceError` if entries blow up or the budget is
-    exhausted first.  The reported tail bound is the last included
-    term's max-norm relative to the partial sum's.
+    With A = a00 I + G and G^(<>(M+N-1)) = 0 the series is the Taylor sum
+    sum_{l<=M+N-2} d_l G^(<>l), d_l = sum_k c_k C(k, l) a00^(k-l).  The
+    stream is read once and folded into those M+N-1 scalars (the Pascal
+    recurrence v_l <- a00 v_l + v_(l-1) keeps v_l = C(k, l) a00^(k-l)),
+    and one :func:`juryconv.conv_core.ring_taylor` call sums them in G.
+    The fold stops at the truncation index, at stream exhaustion (a
+    finite stream IS the series), or -- with no truncation -- once, for
+    several consecutive terms from the first nonzero one on, every
+    increment c_k v_l is at most ``tail_tol`` times its own |d_l|.
+    ``terms_used`` counts the scalar terms folded; ``tail_bound`` is the
+    last one's largest |c_k v_l| / |d_l| (0 if all are 0).  Raises
+    :class:`SeriesDivergenceError` if a d_l or the matrix overflows, or
+    the budget runs out first.
     """
     work = a.astype(COMPLEX)
-    partial = ConvMatrix.zeros(work.rows, work.cols, COMPLEX)
-    power = conv_identity(work.rows, work.cols, COMPLEX)
-    tail = math.inf
-    small_streak = 0
-    seen_nonzero = False
-    terms = 0
+    a00 = work.data[0][0]
+    d = [0j] * (work.rows + work.cols - 1)
+    v = [1 + 0j] + d[1:]
+    tail, small_streak, seen_nonzero, terms = math.inf, 0, False, 0
     for k, c in enumerate(coeffs):
         if truncation is not None and k > truncation:
             break
         if k > term_budget:
-            raise SeriesDivergenceError(
-                f"series did not settle within {term_budget} terms"
-            )
+            raise SeriesDivergenceError(f"series did not settle within {term_budget} terms")
+        if k:
+            v = [a00 * x + y for x, y in zip(v, [0j] + v[:-1])]
         try:
-            term = scale(complex(c), power)
-            partial = add(partial, term)
+            incs = [complex(c) * x for x in v]
+            d = [numerics.coerce(x + i, COMPLEX) for x, i in zip(d, incs)]
+            tail = max((abs(i) / abs(x) if x else math.inf) if i else 0.0
+                       for i, x in zip(incs, d))
         except (ScalarError, OverflowError) as exc:
             raise SeriesDivergenceError(f"series blew up at term {k}: {exc}") from exc
         terms = k + 1
-        tnorm = term.max_abs()
-        tail = tnorm / max(1.0, partial.max_abs())
-        if tnorm > 0:
-            seen_nonzero = True
+        seen_nonzero = seen_nonzero or any(incs)
         if truncation is None and seen_nonzero:
-            if tail <= tail_tol:
-                small_streak += 1
-                if small_streak >= _SMALL_STREAK:
-                    break
-            else:
-                small_streak = 0
-        try:
-            power = conv(power, work)
-        except (ScalarError, OverflowError) as exc:
-            raise SeriesDivergenceError(f"series blew up at term {k + 1}: {exc}") from exc
-    # An exhausted finite stream IS the series; only budget overruns and
-    # blow-ups (handled inside the loop) count as divergence.
-    return SeriesTransformResult(matrix=partial, terms_used=terms, tail_bound=tail)
+            small_streak = small_streak + 1 if tail <= tail_tol else 0
+            if small_streak >= _SMALL_STREAK:
+                break
+    try:
+        matrix = ring_taylor(d, nilpotent_part(work))
+    except ScalarError as exc:
+        raise SeriesDivergenceError(f"series blew up: {exc}") from exc
+    return SeriesTransformResult(matrix=matrix, terms_used=terms, tail_bound=tail)
 
 
 def factorial_frame(a: ConvMatrix) -> ConvMatrix:

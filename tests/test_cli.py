@@ -124,6 +124,37 @@ class TestMalformedFields:
                          '{"kind":"power","alpha":0.5,"max_order":"x"}'], capsys)
 
 
+class TestArithmeticErrors:
+    """Overflow and division by zero inside a transform: exit 2, one error line."""
+
+    @staticmethod
+    def _transform(tmp_path, capsys, scalar, data, *argv):
+        m = {"rows": len(data), "cols": len(data[0]), "scalar": scalar, "data": data}
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(m))
+        TestMalformedFields._exits_two(["transform", str(p), *argv], capsys)
+
+    def test_exp_overflow(self, tmp_path, capsys):
+        self._transform(tmp_path, capsys, "rational", [["1000/1", "1/1"]],
+                        "--function", '{"kind":"exp"}')
+
+    def test_stepped_exp_overflow(self, tmp_path, capsys):
+        self._transform(tmp_path, capsys, "rational", [["1000/1", "1/1"]],
+                        "--function", '{"kind":"exp"}', "--mode", "stepped", "--h", "0.5")
+
+    def test_negative_power_of_subnormal(self, tmp_path, capsys):
+        self._transform(tmp_path, capsys, "complex", [[1e-320, 1.0]],
+                        "--function", '{"kind":"power","alpha":-2}')
+
+    def test_factorial_beyond_float_range(self, tmp_path, capsys):
+        self._transform(tmp_path, capsys, "complex", [[1.0] * 200],
+                        "--function", '{"kind":"exp"}')
+
+    def test_step_power_underflow(self, tmp_path, capsys):
+        self._transform(tmp_path, capsys, "complex", [[1.0] * 200],
+                        "--function", '{"kind":"exp"}', "--mode", "stepped", "--h", "0.001")
+
+
 class TestMinpolyCommand:
     def test_output(self, matrix_files, capsys):
         pa, _ = matrix_files

@@ -319,6 +319,58 @@ class TestFloatInverseResiduals:
             assert residual <= self.RTOL * a.max_abs() * b.max_abs()
 
 
+def _horner_reference(coeffs, x):
+    """ring_taylor without the anti-diagonal cap: one full ``conv`` per Horner step."""
+    cs = [numerics.coerce(c, x.scalar) for c in coeffs]
+    if not cs:
+        return ConvMatrix.zeros(x.rows, x.cols, x.scalar)
+    result = scale(cs[-1], conv_identity(x.rows, x.cols, x.scalar))
+    for c in reversed(cs[:-1]):
+        prod = conv(result, x)
+        first = (prod.data[0][0] + c,) + prod.data[0][1:]
+        result = ConvMatrix(x.rows, x.cols, (first,) + prod.data[1:], x.scalar)
+    return result
+
+
+class TestRingTaylorCap:
+    """At a zero origin ring_taylor sums only the anti-diagonals later steps read."""
+
+    SHAPES = [(1, 1), (1, 6), (6, 1), (3, 3), (4, 2), (2, 5), (8, 8)]
+
+    @staticmethod
+    def _complex_matrix(rng, m, n):
+        return ConvMatrix.from_numpy(rng.uniform(-1, 1, (m, n)) + 1j * rng.uniform(-1, 1, (m, n)))
+
+    @staticmethod
+    def _assert_uncapped(cs, x):
+        got, want = ring_taylor(cs, x), _horner_reference(cs, x)
+        assert got == want
+        assert repr(got.data) == repr(want.data)  # signed zeros too
+
+    def _check(self, x, coeff):
+        size = x.rows + x.cols - 1
+        for length in (max(1, size - 2), size, size + 3):
+            cs = [coeff() for _ in range(length)]
+            for origin in (nilpotent_part(x), x):
+                self._assert_uncapped(cs, origin)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rational(self, shape):
+        rng = random.Random(shape[0] * 10 + shape[1])
+        self._check(rand_invertible_matrix(rng, *shape), lambda: rand_fraction(rng))
+
+    @pytest.mark.parametrize("shape", SHAPES + [(16, 16)])
+    def test_complex(self, shape):
+        rng = np.random.default_rng(list(shape))
+        self._check(self._complex_matrix(rng, *shape),
+                    lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+
+    def test_negative_zero_origin(self):
+        # conv_inverse_ch runs Horner at -G/a00, whose origin may be -0.0.
+        x = scale(-1.0, nilpotent_part(self._complex_matrix(np.random.default_rng(9), 4, 4)))
+        self._assert_uncapped([1.0] * 9, x)
+
+
 class TestRingTaylor:
     def test_matches_sum_of_powers(self):
         # At G (zero origin) and at A itself (a00 != 0); lists run past M+N.

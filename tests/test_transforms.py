@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from juryconv import (
@@ -25,7 +26,8 @@ from juryconv import (
     stepped_transform,
 )
 from juryconv import Interval, elementary_sum, sample_psd
-from juryconv.conv_core import matrices_close
+from juryconv import conv_core
+from juryconv.conv_core import matrices_close, nilpotent_part, ring_taylor
 
 from helpers import rand_fraction, rand_rational_matrix
 
@@ -408,6 +410,53 @@ class TestSeriesTransform:
 
         with pytest.raises(SeriesDivergenceError):
             series_transform(geometric(), a, term_budget=500)
+
+
+class TestSeriesFold:
+    """The stream folds into the M+N-1 Taylor coefficients d_l of one ring_taylor call."""
+
+    EXP = [1 / math.factorial(k) for k in range(120)]
+
+    def test_zero_origin_keeps_every_coefficient(self):
+        # At a00 = 0, d_l = c_l exactly: stopping before k = M+N-2 drops the high d_l.
+        g = nilpotent_part(sample_psd(16, Interval(1.0), np.random.default_rng([19, 16, 3])))
+        assert series_transform(self.EXP, g).matrix == ring_taylor(self.EXP[:31], g)
+
+    def test_late_basis_term(self):
+        # Six leading zeros: no convergence streak may start before the first nonzero term.
+        a = ConvMatrix.floats([[0.5, 0.25], [0.125, 0.75]])
+        result = series_transform([0.0] * 6 + [1.0], a)
+        assert matrices_close(result.matrix, conv_power_naive(a, 6), 1e-14)
+
+    def test_zero_interleaved_cos_matches_series_spec(self):
+        cos = [(-1) ** (k // 2) / math.factorial(k) if k % 2 == 0 else 0.0 for k in range(40)]
+        for n in (2, 4, 6):
+            a = sample_psd(n, Interval(1.0), np.random.default_rng([23, n]))
+            want = smooth_transform(FunctionSpec.series(cos, radius=math.inf), a)
+            assert _rel_dist(series_transform(cos, a).matrix, want) <= 1e-14
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_exp_relative_error(self, n):
+        # Each d_l must settle against its own size: a test against max|d| stops at k = 22
+        # at 8x8 and leaves 2.5e-14.
+        a = sample_psd(n, Interval(1.0), np.random.default_rng([19, n, 3]))
+        want = smooth_transform(FunctionSpec.exp(), a)
+        got = series_transform(self.EXP, a).matrix
+        err = max(abs(complex(got[i, j]) - complex(want[i, j])) for i, j in want.indices())
+        assert err <= 1e-14 * want.max_abs()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (5, 5)])
+    def test_kernel_calls_fixed_by_shape(self, shape, monkeypatch):
+        calls = []
+        kernel = conv_core._conv_window
+        monkeypatch.setattr(conv_core, "_conv_window",
+                            lambda *args: calls.append(1) or kernel(*args))
+        m, n = shape
+        a = ConvMatrix.floats([[0.5 + 0.1 * (i + j) for j in range(n)] for i in range(m)])
+        for stream in ([], [1.0], self.EXP[:m + n], self.EXP):
+            calls.clear()
+            series_transform(stream, a)
+            assert len(calls) == m + n - 2
 
 
 class TestBivariatePowerMatrix:
