@@ -20,7 +20,7 @@ import itertools
 from dataclasses import asdict, dataclass
 from typing import Iterable, Tuple
 
-from .conv_core import ConvMatrix, conv
+from .conv_core import ConvMatrix
 
 # Cover-digraph closures are cached per n; factorial growth caps this.
 ORACLE_MAX_N = 7
@@ -160,9 +160,20 @@ def ones_matrix(n: int) -> ConvMatrix:
 
 
 def rank_matrix(perm: Permutation) -> RankMatrix:
-    """Convolution of the permutation matrix with the all-ones matrix."""
-    product = conv(perm_to_matrix(perm), ones_matrix(perm.n))
-    return RankMatrix(tuple(tuple(int(v) for v in row) for row in product.data))
+    """R = P <> J, the convolution of the permutation matrix with the all-ones matrix.
+
+    (P <> J)[i, j] sums P over the leading (i+1) x (j+1) block, so R is
+    the 2-D prefix sum of P, computed here in O(n^2): row i adds one to
+    the previous row from column w(i+1) - 1 on.  The tests hold it to
+    the convolution itself.
+    """
+    n = perm.n
+    counts = [0] * n
+    rows = []
+    for v in perm.values:
+        counts[v - 1:] = [c + 1 for c in counts[v - 1:]]
+        rows.append(tuple(counts))
+    return RankMatrix(tuple(rows))
 
 
 def bruhat_leq_conv(sigma: Permutation, tau: Permutation) -> bool:

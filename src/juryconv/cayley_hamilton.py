@@ -18,6 +18,8 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import numerics
 from .conv_core import ConvMatrix, conv, nilpotent_part, ring_taylor
 from .numerics import COMPLEX, RATIONAL
@@ -43,8 +45,7 @@ class AnnihilatorReport:
 
 def _modulus(a: ConvMatrix) -> ConvMatrix:
     """|A|, entrywise, on the complex backend."""
-    return ConvMatrix(a.rows, a.cols,
-                      tuple(tuple(complex(abs(v)) for v in row) for row in a.data), COMPLEX)
+    return ConvMatrix(a.rows, a.cols, np.abs(a.to_numpy()), COMPLEX)
 
 
 def _rounding_tol(a: ConvMatrix, magnitude: float) -> float:
@@ -60,7 +61,7 @@ def _rounding_tol(a: ConvMatrix, magnitude: float) -> float:
 
 def ch_polynomial(a: ConvMatrix) -> Poly:
     """(z - a00)^(M+N-1), the universal annihilator for this shape."""
-    return Poly.binomial_power(a.data[0][0], a.rows + a.cols - 1)
+    return Poly.binomial_power(a[0, 0], a.rows + a.cols - 1)
 
 
 def ch_check(a: ConvMatrix) -> bool:
@@ -132,7 +133,7 @@ def minimal_polynomial(a: ConvMatrix) -> AnnihilatorReport:
     """
     kappa, witness = _nilpotency_degree(a)
     return AnnihilatorReport(
-        root=a.data[0][0],
+        root=a[0, 0],
         ch_degree=a.rows + a.cols - 1,
         minimal_degree=kappa,
         witness=witness,

@@ -11,22 +11,30 @@ invertible exactly when its (0, 0) entry is nonzero; both inverse
 constructions (back-substitution along anti-diagonals, and the closed
 form derived from the degree-(M+N-1) annihilating polynomial) live
 here.  So does :func:`ring_taylor`, Horner for sum_l c_l X^(<>l) at any
-X, the library's one polynomial evaluator: at G = A - a00 I (where its
-steps skip the anti-diagonals no later step reads) for the closed-form
-inverse, the functional calculus and power series, at A for the
-polynomial action, the annihilator check and the padded action of
-:mod:`juryconv.probgrid`.
+X, the library's one polynomial evaluator: at G = A - a00 I (where, on
+rationals, its steps skip the anti-diagonals no later step reads) for
+the closed-form inverse, the functional calculus and power series, at A
+for the polynomial action, the annihilator check and the padded action
+of :mod:`juryconv.probgrid`.
+
+The two backends store their entries differently.  A rational matrix is
+a tuple of row tuples of ``Fraction``.  A complex matrix is one
+read-only ``complex128`` array; its ``data`` tuples are a view built on
+first use, so entrywise operations (add, scale, moduli, zero and
+finiteness tests) are single array operations.
 
 The convolution sum itself is written once, in :func:`_conv_window`,
 which returns a top-left window of the full 2-D convolution.  On the
 rational backend it sums Python ints over one common denominator per
 operand and builds one ``Fraction`` (one gcd) per output entry; integer
 sums are exact and ``Fraction`` is canonical, so the result is the one
-the Fraction arithmetic would give, at a fraction of its cost.  The ring
-product :func:`conv` is its M x N window and is defined only for equal
-shapes; the padded, shape-growing product :func:`padded_conv` is its
-(M1+M2-1) x (N1+N2-1) window, re-exported by :mod:`juryconv.probgrid`
-for grid distributions.
+the Fraction arithmetic would give, at a fraction of its cost.  On the
+complex backend it is a sum of BLAS products with Toeplitz blocks
+(:func:`_gemm_window`), with an entrywise error bound and exact
+structural zeros.  The ring product :func:`conv` is its M x N window and
+is defined only for equal shapes; the padded, shape-growing product
+:func:`padded_conv` is its (M1+M2-1) x (N1+N2-1) window, re-exported by
+:mod:`juryconv.probgrid` for grid distributions.
 """
 
 from __future__ import annotations
@@ -34,8 +42,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -70,40 +76,101 @@ class SingularMatrixError(ValueError):
 SINGULARITY_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+def _complex_array(data) -> np.ndarray:
+    """A read-only C-ordered complex128 copy of nested rows or a 2-D array."""
+    try:
+        arr = np.array(data, order="C")
+    except ValueError as exc:
+        raise ShapeMismatchError(f"rows of unequal length: {exc}") from exc
+    if arr.dtype.kind not in "biufc":
+        raise ScalarError(f"complex backend holds numbers, got dtype {arr.dtype}")
+    arr = arr.astype(np.complex128, copy=False)
+    arr.flags.writeable = False
+    return arr
+
+
 class ConvMatrix:
     """Immutable M x N matrix over an exact-rational or complex-float backend.
 
-    ``data`` is a row-major tuple of row tuples; indexing is zero-based.
-    Entries are ``Fraction`` on the rational backend and ``complex`` on
-    the complex backend, and are validated at construction (complex
-    entries must be finite).
+    Indexing is zero-based.  On the rational backend the storage is
+    ``data``, a row-major tuple of row tuples of ``Fraction``, each
+    entry validated at construction.  On the complex backend the storage
+    is one read-only, C-ordered ``complex128`` array (what
+    :meth:`to_numpy` returns), validated by one finiteness test; ``data``
+    is then a tuple view of it with Python ``complex`` entries, built on
+    first use and cached.  ``ConvMatrix(rows, cols, data, scalar)`` takes
+    row tuples on both backends and, on the complex one, any 2-D numeric
+    array as well (copied).
     """
 
-    rows: int
-    cols: int
-    data: tuple
-    scalar: str = RATIONAL
+    __slots__ = ("rows", "cols", "scalar", "_data", "_array")
+
+    def __init__(self, rows: int, cols: int, data, scalar: str = RATIONAL):
+        init = object.__setattr__
+        init(self, "rows", rows)
+        init(self, "cols", cols)
+        init(self, "scalar", scalar)
+        if scalar == COMPLEX:
+            init(self, "_data", None)
+            init(self, "_array", _complex_array(data))
+        else:
+            init(self, "_data", data)
+            init(self, "_array", None)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ShapeMismatchError(f"matrix shape must be >= 1x1, got {self.rows}x{self.cols}")
         if self.scalar not in (RATIONAL, COMPLEX):
             raise ScalarError(f"unknown scalar backend {self.scalar!r}")
+        if self.scalar == COMPLEX:
+            arr = self._array
+            if arr.shape != (self.rows, self.cols):
+                raise ShapeMismatchError(
+                    f"expected {self.rows}x{self.cols} entries, got shape {arr.shape}")
+            finite = np.isfinite(arr)
+            if not finite.all():
+                raise ScalarError(f"non-finite entry {complex(arr[~finite][0])!r}")
+            return
         if len(self.data) != self.rows:
             raise ShapeMismatchError(f"expected {self.rows} rows, got {len(self.data)}")
         for row in self.data:
             if len(row) != self.cols:
                 raise ShapeMismatchError(f"expected {self.cols} columns, got {len(row)}")
             for entry in row:
-                if self.scalar == RATIONAL:
-                    if not isinstance(entry, Fraction):
-                        raise ScalarError(f"rational backend holds Fractions, got {entry!r}")
-                else:
-                    if not isinstance(entry, complex):
-                        raise ScalarError(f"complex backend holds complex, got {entry!r}")
-                    if not (math.isfinite(entry.real) and math.isfinite(entry.imag)):
-                        raise ScalarError(f"non-finite entry {entry!r}")
+                if not isinstance(entry, Fraction):
+                    raise ScalarError(f"rational backend holds Fractions, got {entry!r}")
+
+    @property
+    def data(self) -> tuple:
+        if self._data is None:
+            object.__setattr__(self, "_data", tuple(map(tuple, self._array.tolist())))
+        return self._data
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ConvMatrix is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ConvMatrix is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if (self.rows, self.cols, self.scalar) != (other.rows, other.cols, other.scalar):
+            return False
+        if self.scalar == COMPLEX:
+            return bool(np.array_equal(self._array, other._array))
+        return self.data == other.data
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.data, self.scalar))
+
+    def __repr__(self) -> str:
+        return (f"ConvMatrix(rows={self.rows!r}, cols={self.cols!r}, "
+                f"data={self.data!r}, scalar={self.scalar!r})")
+
+    def __reduce__(self):
+        return (ConvMatrix, (self.rows, self.cols, self.data, self.scalar))
 
     # ------------------------------------------------------------------
     # construction
@@ -134,7 +201,7 @@ class ConvMatrix:
     @classmethod
     def from_numpy(cls, arr) -> "ConvMatrix":
         arr = np.atleast_2d(np.asarray(arr))
-        return cls.from_rows(arr.tolist(), COMPLEX)
+        return cls(arr.shape[0], arr.shape[1], arr, COMPLEX)
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -146,6 +213,8 @@ class ConvMatrix:
 
     def __getitem__(self, key) -> Scalar:
         i, j = key
+        if self.scalar == COMPLEX:
+            return complex(self._array[i, j])
         return self.data[i][j]
 
     def indices(self) -> Iterator[tuple]:
@@ -157,30 +226,31 @@ class ConvMatrix:
         return [list(row) for row in self.data]
 
     def to_numpy(self, dtype=None):
+        """Entries as an array; on the complex backend, the stored read-only array itself."""
         if self.scalar == RATIONAL:
             return np.array([[float(v) for v in row] for row in self.data],
                             dtype=dtype or float)
-        return np.array([[complex(v) for v in row] for row in self.data],
-                        dtype=dtype or complex)
+        return self._array if dtype is None else self._array.astype(dtype)
 
     def astype(self, scalar: str) -> "ConvMatrix":
         if scalar == self.scalar:
             return self
         if scalar == COMPLEX:
-            return ConvMatrix.from_rows(
-                ((complex(float(v)) for v in row) for row in self.data), COMPLEX
-            )
+            return ConvMatrix(self.rows, self.cols, self.to_numpy(), COMPLEX)
         raise ScalarError("cannot convert a complex-float matrix to the exact backend")
 
     def max_abs(self) -> float:
+        if self.scalar == COMPLEX:
+            return float(np.abs(self._array).max())
         return max(float(abs(v)) for row in self.data for v in row)
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(numerics.is_zero_scalar(v, self.scalar, tol)
-                   for row in self.data for v in row)
+        if self.scalar == COMPLEX:
+            return bool((np.abs(self._array) <= tol).all())
+        return all(v == 0 for row in self.data for v in row)
 
     def is_real(self, tol: float = 0.0) -> bool:
-        return all(abs(v.imag) <= tol for row in self.data for v in row)
+        return self.scalar == RATIONAL or bool((np.abs(self._array.imag) <= tol).all())
 
     # ------------------------------------------------------------------
     # arithmetic sugar (the named operations live at module level)
@@ -308,17 +378,43 @@ def _conv_window(a: ConvMatrix, b: ConvMatrix, rows: int, cols: int,
     """Top-left rows x cols window of the full 2-D convolution of a and b.
 
     Entry (i, j) gathers a[l, k] b[i-l, j-k] over every (l, k) with both
-    factors inside their matrices, summed with l and then k ascending.
+    factors inside their matrices.
+
     On the rational backend the operands first go over common
     denominators (:func:`juryconv.numerics.integer_operands`): the loop
-    multiplies and adds Python ints, which is exact, and each output
-    entry becomes one ``Fraction(sum, da*db)`` with a single gcd, equal
-    to the Fraction sum.  Complex entries run through the same loop in
-    the same order, so their results are bit-for-bit those of the plain
-    float sum.  Only anti-diagonals i+j <= ``top`` (default: all) are
-    summed; the rest stay zero, for :func:`ring_taylor`'s cap.
+    multiplies and adds Python ints, l and then k ascending, which is
+    exact, and each output entry becomes one ``Fraction(sum, da*db)``
+    with a single gcd, equal to the Fraction sum.  Only anti-diagonals
+    i+j <= ``top`` (default: all) are summed; the rest stay zero, for
+    :func:`ring_taylor`'s cap.
+
+    On the complex backend one route serves every shape,
+    :func:`_gemm_window`, and ``top`` is ignored: the full window is
+    what the uncapped Horner step gives.  Each entry sums the k <= M*N
+    products a[l, k] b[i-l, j-k] of the definition, in BLAS's order,
+    plus products with an exact zero, which add nothing.  Hence:
+
+    - the error is entrywise, |fl(A<>B) - A<>B| <= gamma_(k+2) (|A| <> |B|)
+      with gamma_n = n u / (1 - n u) (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, 2nd ed., 3.1 and 3.6).  That bound rounds
+      each complex product whole; BLAS splits it into real products,
+      which can only be proved to sqrt(2) gamma_(2k).  The tests hold
+      the kernel to gamma_(k+2);
+    - structural zeros are exact: an entry whose products all have a
+      zero factor is 0, so G <> X is 0 at the origin and
+      G^(<>(M+N-1)) is the zero matrix, the two facts that the float
+      ``minimal_polynomial`` and ``ch_check`` read through their
+      entrywise rounding rule.
+
+    There is no FFT route.  Its error is normwise, about
+    eps log(n) |A| |B|, so small entries of high powers of G would lose
+    their relative accuracy and the rule above would break; it is the
+    faster product only from about 64x64 up.
     """
-    ad, bd, zero, finish = numerics.integer_operands(a.data, b.data, a.scalar)
+    if a.scalar == COMPLEX:
+        return ConvMatrix(rows, cols, _gemm_window(a.to_numpy(), b.to_numpy(), rows, cols),
+                          COMPLEX)
+    ad, bd, finish = numerics.integer_operands(a.data, b.data)
     col_ranges = [range(max(0, j - b.cols + 1), min(j, a.cols - 1) + 1)
                   for j in range(cols)]
     out = []
@@ -327,15 +423,41 @@ def _conv_window(a: ConvMatrix, b: ConvMatrix, rows: int, cols: int,
                      for l in range(max(0, i - b.rows + 1), min(i, a.rows - 1) + 1)]
         row = []
         for j, ks in enumerate(col_ranges if top is None else col_ranges[:max(0, top - i + 1)]):
-            acc = zero
+            acc = 0
             for arow, brow in row_pairs:
                 for k in ks:
                     acc += arow[k] * brow[j - k]
             row.append(acc)
         out.append(row)
     if top is not None:
-        out = [row + [zero] * (cols - len(row)) for row in out]
+        out = [row + [0] * (cols - len(row)) for row in out]
     return ConvMatrix(rows, cols, finish(out), a.scalar)
+
+
+def _gemm_window(a: np.ndarray, b: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The complex window: out[l:l+r] += B[:r] @ T_l over the rows l of A.
+
+    T_l[m, j] = a[l, j-m], zero off A's columns, is an upper-triangular
+    Toeplitz block, one gather from a zero-padded copy of row l.  The
+    blocks lie along the shorter output axis (conv commutes with
+    transposition), which bounds the workspace by a few times the
+    output: one block lying along the longer axis of two 1 x 3000
+    operands would be 3000 x 5999.
+    """
+    if cols > rows:
+        return _gemm_window(a.T, b.T, cols, rows).T
+    nb = min(b.shape[1], cols)
+    b = b[:, :nb]
+    ma, na = a.shape
+    padded = np.zeros((ma, nb + cols), dtype=np.complex128)
+    padded[:, nb:nb + min(na, cols)] = a[:, :cols]
+    toeplitz = nb + np.arange(cols) - np.arange(nb)[:, None]
+    out = np.zeros((rows, cols), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(min(ma, rows)):
+            r = min(b.shape[0], rows - l)
+            out[l:l + r] += b[:r] @ padded[l, toeplitz]
+    return out
 
 
 def conv(a: ConvMatrix, b: ConvMatrix) -> ConvMatrix:
@@ -369,6 +491,9 @@ def conv_identity(rows: int, cols: int, scalar: str = RATIONAL) -> ConvMatrix:
 def add(a: ConvMatrix, b: ConvMatrix) -> ConvMatrix:
     _require_same_shape(a, b)
     _require_same_backend(a, b)
+    if a.scalar == COMPLEX:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ConvMatrix(a.rows, a.cols, a.to_numpy() + b.to_numpy(), COMPLEX)
     data = tuple(
         tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.data, b.data)
     )
@@ -377,11 +502,16 @@ def add(a: ConvMatrix, b: ConvMatrix) -> ConvMatrix:
 
 def scale(alpha, a: ConvMatrix) -> ConvMatrix:
     c = numerics.coerce(alpha, a.scalar)
+    if a.scalar == COMPLEX:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ConvMatrix(a.rows, a.cols, c * a.to_numpy(), COMPLEX)
     data = tuple(tuple(c * v for v in row) for row in a.data)
     return ConvMatrix(a.rows, a.cols, data, a.scalar)
 
 
 def transpose(a: ConvMatrix) -> ConvMatrix:
+    if a.scalar == COMPLEX:
+        return ConvMatrix(a.cols, a.rows, a.to_numpy().T, COMPLEX)
     data = tuple(tuple(a.data[i][j] for i in range(a.rows)) for j in range(a.cols))
     return ConvMatrix(a.cols, a.rows, data, a.scalar)
 
@@ -416,7 +546,7 @@ def conv_power_squaring(a: ConvMatrix, kappa: int) -> ConvMatrix:
 
 
 def _check_invertible(a: ConvMatrix):
-    a00 = a.data[0][0]
+    a00 = a[0, 0]
     if a.scalar == RATIONAL:
         if a00 == 0:
             raise SingularMatrixError(a00)
@@ -435,8 +565,8 @@ def conv_inverse_recursive(a: ConvMatrix) -> ConvMatrix:
     a[0, 0].
     """
     _check_invertible(a)
-    a00 = a.data[0][0]
-    inv00 = 1 / a00
+    ad = a.data
+    inv00 = 1 / ad[0][0]
     b = [[numerics.zero(a.scalar)] * a.cols for _ in range(a.rows)]
     b[0][0] = inv00
     for (i, j) in antidiagonal_indices(a.rows, a.cols):
@@ -447,7 +577,7 @@ def conv_inverse_recursive(a: ConvMatrix) -> ConvMatrix:
             for k in range(j + 1):
                 if (l, k) == (0, 0):
                     continue
-                acc += a.data[l][k] * b[i - l][j - k]
+                acc += ad[l][k] * b[i - l][j - k]
         b[i][j] = -inv00 * acc
     return ConvMatrix(a.rows, a.cols, tuple(tuple(row) for row in b), a.scalar)
 
@@ -464,8 +594,7 @@ def conv_inverse_ch(a: ConvMatrix) -> ConvMatrix:
     with the recursive construction on the rational backend.
     """
     _check_invertible(a)
-    a00 = a.data[0][0]
-    inv00 = 1 / a00
+    inv00 = 1 / a[0, 0]
     series = ring_taylor([1] * (a.rows + a.cols - 1), scale(-inv00, nilpotent_part(a)))
     return scale(inv00, series)
 
@@ -476,7 +605,16 @@ def nilpotent_part(a: ConvMatrix) -> ConvMatrix:
     G^(<>l) vanishes for l >= M+N-1, since every entry of a product of l
     factors sums l indices of the punctured grid.
     """
-    first = (numerics.zero(a.scalar),) + a.data[0][1:]
+    return _with_origin(a, numerics.zero(a.scalar))
+
+
+def _with_origin(a: ConvMatrix, value) -> ConvMatrix:
+    """``a`` with its (0, 0) entry replaced by ``value``."""
+    if a.scalar == COMPLEX:
+        arr = a.to_numpy().copy()
+        arr[0, 0] = value
+        return ConvMatrix(a.rows, a.cols, arr, COMPLEX)
+    first = (value,) + a.data[0][1:]
     return ConvMatrix(a.rows, a.cols, (first,) + a.data[1:], a.scalar)
 
 
@@ -487,20 +625,21 @@ def ring_taylor(coeffs: Iterable, x: ConvMatrix) -> ConvMatrix:
     nilpotent part G, whose powers vanish from order M+N-1, callers pass
     M+N-1 coefficients.  Coefficients are coerced to X's backend: on the
     rational backend they must be exact (ints, Fractions or "p/q" strings).
-    At a zero origin step l sums only anti-diagonals i+j <= M+N-2-l, all
-    R_0 needs: (R <> X)[i, j] reads R on lower anti-diagonals, save the
-    zero product R[i, j] X[0, 0].  Skipped entries stay zero; as sums
-    start at +0 the result is bit-for-bit the uncapped loop's.
+    On rationals, at a zero origin, step l sums only anti-diagonals
+    i+j <= M+N-2-l, all R_0 needs: (R <> X)[i, j] reads R on lower
+    anti-diagonals, save the zero product R[i, j] X[0, 0].  Skipped
+    entries stay zero; as sums start at 0 the result is the uncapped
+    loop's.  The complex kernel ignores that cap and computes every
+    step in full, which is the uncapped result by definition.
     """
     cs = [numerics.coerce(c, x.scalar) for c in coeffs]
     if not cs:
         return ConvMatrix.zeros(x.rows, x.cols, x.scalar)
-    full, nilpotent = x.rows + x.cols - 2, x.data[0][0] == 0
+    full, nilpotent = x.rows + x.cols - 2, x[0, 0] == 0
     result = scale(cs[-1], conv_identity(x.rows, x.cols, x.scalar))
     for l in range(len(cs) - 2, -1, -1):
         prod = _conv_window(result, x, x.rows, x.cols, full - l if nilpotent else None)
-        first = (prod.data[0][0] + cs[l],) + prod.data[0][1:]
-        result = ConvMatrix(x.rows, x.cols, (first,) + prod.data[1:], x.scalar)
+        result = _with_origin(prod, prod[0, 0] + cs[l])
     return result
 
 
@@ -508,7 +647,4 @@ def matrices_close(a: ConvMatrix, b: ConvMatrix, tol: float = 1e-12) -> bool:
     """Entrywise epsilon comparison relative to the pair's max magnitude."""
     _require_same_shape(a, b)
     ref = max(1.0, a.max_abs(), b.max_abs())
-    for (i, j) in a.indices():
-        if abs(complex(a.data[i][j]) - complex(b.data[i][j])) > tol * ref:
-            return False
-    return True
+    return bool((np.abs(a.to_numpy() - b.to_numpy()) <= tol * ref).all())

@@ -8,12 +8,11 @@ arithmetic through the helpers here, so exactness is never lost by
 accident on the rational side and non-finite floats never enter a
 matrix on the complex side.
 
-:func:`integer_operands` is the one place where the convolution kernel
-learns which backend it runs on.  On rationals it scales each operand
-once to integer numerators over the lcm of its denominators, so the
-kernel's multiply-adds run on Python ints and each output entry becomes
-a single ``Fraction`` (one gcd) at the end; complex operands pass
-through untouched.
+:func:`integer_operands` prepares the rational convolution kernel's
+operands: it scales each operand once to integer numerators over the
+lcm of its denominators, so the kernel's multiply-adds run on Python
+ints and each output entry becomes a single ``Fraction`` (one gcd) at
+the end.
 """
 
 from __future__ import annotations
@@ -146,26 +145,20 @@ def scalar_from_json(payload, backend: str) -> Scalar:
     raise ScalarError(f"unknown scalar backend {backend!r}")
 
 
-def integer_operands(a_rows, b_rows, backend: str):
-    """Operands for an exact multiply-add loop, and how to read its sums back.
+def integer_operands(a_rows, b_rows):
+    """Fraction rows as integer rows for an exact multiply-add loop, and how to read its sums back.
 
-    Returns ``(a_rows, b_rows, zero, finish)``.  On the rational backend
-    each operand is scaled to integer numerators over the lcm of its own
-    denominators, da and db; a sum of products of those integers is the
-    true sum times da*db, exactly, whatever the summation order, so
-    ``finish`` maps each integer sum s to ``Fraction(s, da*db)``, the
-    same canonical Fraction that summing the Fractions gives.  ``zero``
-    is the accumulator's start (the int 0 there).  On the complex backend
-    the operands are returned as they are, ``zero`` is complex 0 and
-    ``finish`` only turns the row lists into tuples, so the loop's float
-    results are unchanged.
+    Returns ``(a_ints, b_ints, finish)``.  Each operand is scaled to
+    integer numerators over the lcm of its own denominators, da and db;
+    a sum of products of those integers is the true sum times da*db,
+    exactly, whatever the summation order, so ``finish`` maps each
+    integer sum s to ``Fraction(s, da*db)``, the same canonical Fraction
+    that summing the Fractions gives.
     """
-    if backend != RATIONAL:
-        return a_rows, b_rows, zero(backend), lambda rows: tuple(map(tuple, rows))
     a_ints, da = _over_common_denominator(a_rows)
     b_ints, db = _over_common_denominator(b_rows)
     d = da * db
-    return a_ints, b_ints, 0, lambda rows: tuple(
+    return a_ints, b_ints, lambda rows: tuple(
         tuple(Fraction(s, d) for s in row) for row in rows)
 
 

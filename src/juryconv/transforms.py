@@ -374,14 +374,14 @@ def smooth_transform(f: FunctionSpec, a: ConvMatrix) -> ConvMatrix:
     """
     order = a.rows + a.cols - 2
     f.ensure_order(order)
-    a00 = a.data[0][0]
+    a00 = a[0, 0]
     f.require_in_domain(a00)
     exact = f.is_exact and a.scalar == RATIONAL
     work = a if exact else a.astype(COMPLEX)
     if exact or f.kind == "poly":
-        x0 = work.data[0][0]
+        x0 = work[0, 0]
     else:
-        x0 = _as_real(work.data[0][0], f.kind)
+        x0 = _as_real(work[0, 0], f.kind)
     derivs = [f.derivative(ell, x0) for ell in range(order + 1)]
     return ring_taylor(_taylor(derivs, exact), nilpotent_part(work))
 
@@ -396,7 +396,7 @@ def stepped_transform(f: FunctionSpec, a: ConvMatrix, h) -> ConvMatrix:
     if h <= 0:
         raise ValueError(f"step size must be > 0, got {h}")
     order = a.rows + a.cols - 2
-    a00 = a.data[0][0]
+    a00 = a[0, 0]
     x0 = _as_real(a00, f.kind)
     for k in range(order + 1):
         node = x0 + k * h
@@ -449,7 +449,7 @@ def series_transform(coeffs: Iterable[float], a: ConvMatrix,
     the budget runs out first.
     """
     work = a.astype(COMPLEX)
-    a00 = work.data[0][0]
+    a00 = work[0, 0]
     d = [0j] * (work.rows + work.cols - 1)
     v = [1 + 0j] + d[1:]
     tail, small_streak, seen_nonzero, terms = math.inf, 0, False, 0
@@ -509,7 +509,7 @@ def bivariate_power_matrix(alpha: float, a: ConvMatrix) -> ConvMatrix:
     if not a.is_real():
         raise ValueError("bivariate power matrix requires real entries")
     work = a.astype(COMPLEX)
-    a00 = work.data[0][0].real
+    a00 = work[0, 0].real
     if a00 <= 0:
         raise DomainError(f"leading entry must be positive, got {a00}", node=a00)
     coeffs = [numerics.generalized_binomial(alpha, k) * a00 ** (alpha - k)

@@ -43,6 +43,41 @@ def numpy_full_conv(a: ConvMatrix, b: ConvMatrix) -> np.ndarray:
     return out
 
 
+# Unit roundoff of IEEE binary64.
+UNIT_ROUNDOFF = Fraction(1, 2 ** 53)
+
+
+def gamma(n: int) -> Fraction:
+    """Higham's gamma_n = n u / (1 - n u), exactly."""
+    return n * UNIT_ROUNDOFF / (1 - n * UNIT_ROUNDOFF)
+
+
+def assert_entrywise_bound(product, a: ConvMatrix, b: ConvMatrix, got: ConvMatrix):
+    """|got - a<>b| <= gamma_(k+2) (|a| <> |b|) at every entry, checked exactly.
+
+    ``product`` is ``conv`` or ``padded_conv``.  The exact product of the
+    floats' exact values (each part converted with ``Fraction``) comes
+    from ``product`` on the rational backend, real and imaginary parts
+    apart, and so does k, the number of products in each entry (the same
+    window of all-ones operands).  The moduli are rounded floats, each at
+    most an ulp below the true modulus, hence the (1 + 2u)^2 on the bound.
+    """
+    def part(m, f):
+        return ConvMatrix.rational([[f(v) for v in row] for row in m.data])
+
+    ar, ai = part(a, lambda v: Fraction(v.real)), part(a, lambda v: Fraction(v.imag))
+    br, bi = part(b, lambda v: Fraction(v.real)), part(b, lambda v: Fraction(v.imag))
+    re = product(ar, br) - product(ai, bi)
+    im = product(ar, bi) + product(ai, br)
+    mag = product(part(a, lambda v: Fraction(abs(v))), part(b, lambda v: Fraction(abs(v))))
+    count = product(part(a, lambda v: Fraction(1)), part(b, lambda v: Fraction(1)))
+    slack = (1 + 2 * UNIT_ROUNDOFF) ** 2
+    for i, j in got.indices():
+        err2 = (Fraction(got[i, j].real) - re[i, j]) ** 2 + (Fraction(got[i, j].imag) - im[i, j]) ** 2
+        bound = gamma(int(count[i, j]) + 2) * mag[i, j] * slack
+        assert err2 <= bound ** 2, (i, j, float(err2) ** 0.5, float(bound))
+
+
 def first_primes(count: int) -> list:
     """The first ``count`` primes, by trial division against the smaller ones."""
     found = []

@@ -7,6 +7,7 @@ import pytest
 
 from juryconv import (
     Permutation,
+    conv,
     RankMatrix,
     bruhat_leq_conv,
     bruhat_leq_oracle,
@@ -14,7 +15,7 @@ from juryconv import (
     rank_matrix,
     verify_equivalences,
 )
-from juryconv.bruhat import compare, matrix_to_perm, rank_identities_hold
+from juryconv.bruhat import compare, matrix_to_perm, ones_matrix, rank_identities_hold
 
 from helpers import rand_permutation
 
@@ -84,6 +85,15 @@ class TestRankMatrix:
     def test_invariant_validation(self):
         with pytest.raises(ValueError):
             RankMatrix(((2,),))
+
+    def test_is_convolution_with_ones(self):
+        # The paper's identity R = P <> J, against the ring product itself.
+        rng = random.Random(13)
+        perms = [p for n in range(1, 6) for p in all_perms(n)]
+        perms += [Permutation.of(rand_permutation(rng, n)) for n in range(6, 13) for _ in range(5)]
+        for p in perms:
+            product = conv(perm_to_matrix(p), ones_matrix(p.n))
+            assert rank_matrix(p).to_lists() == product.to_lists()
 
 
 class TestOrderCriterion:

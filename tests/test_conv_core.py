@@ -28,6 +28,8 @@ from juryconv import numerics
 from juryconv.numerics import ScalarError
 
 from helpers import (
+    UNIT_ROUNDOFF,
+    assert_entrywise_bound,
     coprime_matrices,
     coprime_matrix,
     huge_fraction,
@@ -153,13 +155,38 @@ class TestConvReference:
         for x, y in [(z, z), (z, a), (a, z)]:
             assert conv(x, y) == _conv_reference(x, y) == z
 
-    def test_complex_bit_exact(self):
-        # Same loop, same order as the literal double sum: == , not a bound.
+    def test_complex_entrywise_bound(self):
+        # The kernel's contract, against the exact product of the floats.
         rng = np.random.default_rng(59)
-        for shape in [(16, 16), (1, 24), (9, 3)]:
+        for shape in [(16, 16), (1, 24), (9, 3), (32, 32)]:
             a, b = (ConvMatrix.from_numpy(rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
                     for _ in range(2))
-            assert conv(a, b) == _conv_reference(a, b)
+            assert_entrywise_bound(conv, a, b, conv(a, b))
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_complex_structural_zeros_exact(self, n):
+        # G^(M+N-1) == 0 and (G <> X)[0, 0] == 0 hold exactly, not to rounding.
+        rng = np.random.default_rng([n, 73])
+        a = ConvMatrix.from_numpy(rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n)))
+        g = nilpotent_part(a)
+        assert conv(g, a)[0, 0] == 0
+        assert conv_power_naive(g, 2 * n - 2).max_abs() > 0
+        assert conv_power_naive(g, 2 * n - 1) == ConvMatrix.zeros(n, n, "complex")
+
+    def test_complex_residual_64(self):
+        # Above the largest benchmarked shape: the kernel and the numpy oracle
+        # each stay within gamma_(k+2) (|A| <> |B|) of the exact product.
+        rng = np.random.default_rng(79)
+        a, b = (ConvMatrix.from_numpy(rng.uniform(-1, 1, (64, 64)) + 1j * rng.uniform(-1, 1, (64, 64)))
+                for _ in range(2))
+        got = conv(a, b).to_numpy()
+        want = numpy_full_conv(a, b)[:64, :64]
+        mag = numpy_full_conv(ConvMatrix.from_numpy(np.abs(a.to_numpy())),
+                              ConvMatrix.from_numpy(np.abs(b.to_numpy()))).real[:64, :64]
+        nu = (np.outer(np.arange(1, 65), np.arange(1, 65)) + 2) * float(UNIT_ROUNDOFF)
+        # 1 + 1e-12 covers the rounding of mag itself (a sum of at most 4096 positive terms).
+        bound = 2 * nu / (1 - nu) * (1 + 1e-12) * mag
+        assert (np.abs(got - want) <= bound).all()  # observed <= 0.17 of it
 
     def test_complex_against_numpy(self):
         rng = np.random.default_rng(43)

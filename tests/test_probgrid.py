@@ -1,6 +1,7 @@
 """Padded convolution, grid distributions, and semi-infinite checks."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,9 @@ from juryconv import numerics
 from juryconv.probgrid import embed, padded_poly_action
 
 from helpers import (
+    assert_entrywise_bound,
     coprime_matrices,
+    gamma,
     huge_fraction,
     numpy_full_conv,
     rand_fraction,
@@ -114,17 +117,33 @@ class TestPaddedReference:
             want = ConvMatrix.zeros(sa[0] + sb[0] - 1, sa[1] + sb[1] - 1)
             assert padded_conv(za, b) == padded_conv(b, za) == _padded_conv_reference(za, b) == want
 
-    def test_complex_bit_exact(self):
-        # The scatter loop adds a[l, k] b in the order the kernel gathers
-        # it, both from complex 0: the results are equal, not just close.
+    def test_complex_entrywise_bound(self):
+        # The kernel's contract, against the exact product of the floats.
         rng = np.random.default_rng(67)
-        for shape in [(16, 16), (1, 24), (9, 3)]:
-            a, b = (ConvMatrix.from_numpy(rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
-                    for _ in range(2))
-            assert padded_conv(a, b) == _padded_conv_reference(a, b)
-        a = ConvMatrix.from_numpy(rng.uniform(-1, 1, (9, 3)) + 1j * rng.uniform(-1, 1, (9, 3)))
-        b = ConvMatrix.from_numpy(rng.uniform(-1, 1, (1, 24)) + 1j * rng.uniform(-1, 1, (1, 24)))
-        assert padded_conv(a, b) == _padded_conv_reference(a, b)
+        for sa, sb in [((16, 16), (16, 16)), ((1, 24), (1, 24)), ((9, 3), (1, 24)),
+                       ((5, 7), (6, 3)), ((1, 12), (8, 1))]:
+            a = ConvMatrix.from_numpy(rng.uniform(-1, 1, sa) + 1j * rng.uniform(-1, 1, sa))
+            b = ConvMatrix.from_numpy(rng.uniform(-1, 1, sb) + 1j * rng.uniform(-1, 1, sb))
+            assert_entrywise_bound(padded_conv, a, b, padded_conv(a, b))
+
+    @pytest.mark.parametrize("shape", [(1, 3000), (3000, 1)])
+    def test_complex_thin_workspace_bounded(self, shape):
+        # The kernel's Toeplitz blocks lie along the short axis: its peak
+        # allocation stays a small multiple of the output (observed 2.5x).
+        rng = np.random.default_rng(71)
+        a, b = (ConvMatrix.from_numpy(rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+                for _ in range(2))
+        tracemalloc.start()
+        try:
+            out = padded_conv(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * out.to_numpy().nbytes
+        av, bv = a.to_numpy().ravel(), b.to_numpy().ravel()
+        # np.convolve sums each entry directly: both are within gamma_(k+2), k <= 3000.
+        bound = 2 * float(gamma(3002)) * np.convolve(np.abs(av), np.abs(bv))
+        assert (np.abs(out.to_numpy().ravel() - np.convolve(av, bv)) <= bound).all()
 
     def test_complex_against_numpy(self):
         rng = np.random.default_rng(47)
