@@ -17,24 +17,26 @@ the closed-form inverse, the functional calculus and power series, at A
 for the polynomial action, the annihilator check and the padded action
 of :mod:`juryconv.probgrid`.
 
-The two backends store their entries differently.  A rational matrix is
-a tuple of row tuples of ``Fraction``.  A complex matrix is one
-read-only ``complex128`` array; its ``data`` tuples are a view built on
-first use, so entrywise operations (add, scale, moduli, zero and
-finiteness tests) are single array operations.
+Both backends store a matrix as one read-only 2-D array, ``complex128``
+or object dtype holding ``Fraction``, so entrywise operations are single
+array operations on either; the ``data`` tuples are a view built on
+first use.
 
 The convolution sum itself is written once, in :func:`_conv_window`,
-which returns a top-left window of the full 2-D convolution.  On the
-rational backend it sums Python ints over one common denominator per
-operand and builds one ``Fraction`` (one gcd) per output entry; integer
-sums are exact and ``Fraction`` is canonical, so the result is the one
-the Fraction arithmetic would give, at a fraction of its cost.  On the
-complex backend it is a sum of BLAS products with Toeplitz blocks
+which maps two storage arrays to a top-left window of their full 2-D
+convolution, an array again.  On the rational backend it sums Python
+ints over one common denominator per operand and builds one
+``Fraction`` (one gcd) per output entry; integer sums are exact and
+``Fraction`` is canonical, so the result is the one the Fraction
+arithmetic would give, at a fraction of its cost.  On the complex
+backend it is a sum of BLAS products with Toeplitz blocks
 (:func:`_gemm_window`), with an entrywise error bound and exact
 structural zeros.  The ring product :func:`conv` is its M x N window and
 is defined only for equal shapes; the padded, shape-growing product
 :func:`padded_conv` is its (M1+M2-1) x (N1+N2-1) window, re-exported by
-:mod:`juryconv.probgrid` for grid distributions.
+:mod:`juryconv.probgrid` for grid distributions; :func:`ring_taylor`
+runs its whole Horner chain on arrays.  These three are its only
+callers, and each wraps one result array as a :class:`ConvMatrix`.
 """
 
 from __future__ import annotations
@@ -76,46 +78,47 @@ class SingularMatrixError(ValueError):
 SINGULARITY_RTOL = 1e-12
 
 
-def _complex_array(data) -> np.ndarray:
-    """A read-only C-ordered complex128 copy of nested rows or a 2-D array."""
+def _copied_array(data, scalar: str) -> np.ndarray:
+    """A fresh C-ordered array of nested rows or a 2-D array: complex128, or objects."""
     try:
+        if scalar != COMPLEX:
+            return np.array(data, dtype=object)
         arr = np.array(data, order="C")
     except ValueError as exc:
         raise ShapeMismatchError(f"rows of unequal length: {exc}") from exc
     if arr.dtype.kind not in "biufc":
         raise ScalarError(f"complex backend holds numbers, got dtype {arr.dtype}")
-    arr = arr.astype(np.complex128, copy=False)
-    arr.flags.writeable = False
-    return arr
+    return arr.astype(np.complex128, copy=False)
 
 
 class ConvMatrix:
     """Immutable M x N matrix over an exact-rational or complex-float backend.
 
-    Indexing is zero-based.  On the rational backend the storage is
-    ``data``, a row-major tuple of row tuples of ``Fraction``, each
-    entry validated at construction.  On the complex backend the storage
-    is one read-only, C-ordered ``complex128`` array (what
-    :meth:`to_numpy` returns), validated by one finiteness test; ``data``
-    is then a tuple view of it with Python ``complex`` entries, built on
-    first use and cached.  ``ConvMatrix(rows, cols, data, scalar)`` takes
-    row tuples on both backends and, on the complex one, any 2-D numeric
-    array as well (copied).
+    Indexing is zero-based.  The storage is one read-only, C-ordered 2-D
+    array on both backends: ``complex128`` on the complex one (what
+    :meth:`to_numpy` returns), object dtype holding ``Fraction`` on the
+    rational one.  Construction validates it, by one finiteness test or
+    a type test per entry.  ``data`` is a row-major tuple of row tuples
+    of the entries (``complex`` or ``Fraction``), built on first use and
+    cached.  ``ConvMatrix(rows, cols, data, scalar)`` takes row tuples or
+    a 2-D array on either backend and copies it.
     """
 
     __slots__ = ("rows", "cols", "scalar", "_data", "_array")
 
     def __init__(self, rows: int, cols: int, data, scalar: str = RATIONAL):
+        self._adopt(rows, cols, _copied_array(data, scalar), scalar)
+
+    def _adopt(self, rows: int, cols: int, arr: np.ndarray, scalar: str):
+        """Store ``arr``, which no one else holds, frozen in place, and validate."""
+        arr = np.ascontiguousarray(arr)
+        arr.flags.writeable = False
         init = object.__setattr__
         init(self, "rows", rows)
         init(self, "cols", cols)
         init(self, "scalar", scalar)
-        if scalar == COMPLEX:
-            init(self, "_data", None)
-            init(self, "_array", _complex_array(data))
-        else:
-            init(self, "_data", data)
-            init(self, "_array", None)
+        init(self, "_data", None)
+        init(self, "_array", arr)
         self.__post_init__()
 
     def __post_init__(self):
@@ -123,23 +126,16 @@ class ConvMatrix:
             raise ShapeMismatchError(f"matrix shape must be >= 1x1, got {self.rows}x{self.cols}")
         if self.scalar not in (RATIONAL, COMPLEX):
             raise ScalarError(f"unknown scalar backend {self.scalar!r}")
-        if self.scalar == COMPLEX:
-            arr = self._array
-            if arr.shape != (self.rows, self.cols):
-                raise ShapeMismatchError(
-                    f"expected {self.rows}x{self.cols} entries, got shape {arr.shape}")
-            finite = np.isfinite(arr)
-            if not finite.all():
-                raise ScalarError(f"non-finite entry {complex(arr[~finite][0])!r}")
-            return
-        if len(self.data) != self.rows:
-            raise ShapeMismatchError(f"expected {self.rows} rows, got {len(self.data)}")
-        for row in self.data:
-            if len(row) != self.cols:
-                raise ShapeMismatchError(f"expected {self.cols} columns, got {len(row)}")
-            for entry in row:
+        arr = self._array
+        if arr.shape != (self.rows, self.cols):
+            raise ShapeMismatchError(
+                f"expected {self.rows}x{self.cols} entries, got shape {arr.shape}")
+        if self.scalar == RATIONAL:
+            for entry in arr.flat:
                 if not isinstance(entry, Fraction):
                     raise ScalarError(f"rational backend holds Fractions, got {entry!r}")
+        elif not np.isfinite(arr).all():
+            raise ScalarError(f"non-finite entry {complex(arr[~np.isfinite(arr)][0])!r}")
 
     @property
     def data(self) -> tuple:
@@ -158,9 +154,7 @@ class ConvMatrix:
             return NotImplemented
         if (self.rows, self.cols, self.scalar) != (other.rows, other.cols, other.scalar):
             return False
-        if self.scalar == COMPLEX:
-            return bool(np.array_equal(self._array, other._array))
-        return self.data == other.data
+        return bool(np.array_equal(self._array, other._array))
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.data, self.scalar))
@@ -195,8 +189,7 @@ class ConvMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int, scalar: str = RATIONAL) -> "ConvMatrix":
-        z = numerics.zero(scalar)
-        return cls(rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)), scalar)
+        return _matrix(_scaled_identity(rows, cols, numerics.zero(scalar), scalar), scalar)
 
     @classmethod
     def from_numpy(cls, arr) -> "ConvMatrix":
@@ -213,9 +206,7 @@ class ConvMatrix:
 
     def __getitem__(self, key) -> Scalar:
         i, j = key
-        if self.scalar == COMPLEX:
-            return complex(self._array[i, j])
-        return self.data[i][j]
+        return self._array.item(i, j)
 
     def indices(self) -> Iterator[tuple]:
         for i in range(self.rows):
@@ -226,28 +217,25 @@ class ConvMatrix:
         return [list(row) for row in self.data]
 
     def to_numpy(self, dtype=None):
-        """Entries as an array; on the complex backend, the stored read-only array itself."""
+        """Entries as an array: the stored read-only one on complex, new floats on rationals."""
         if self.scalar == RATIONAL:
-            return np.array([[float(v) for v in row] for row in self.data],
-                            dtype=dtype or float)
+            return self._array.astype(float).astype(dtype or float, copy=False)
         return self._array if dtype is None else self._array.astype(dtype)
 
     def astype(self, scalar: str) -> "ConvMatrix":
         if scalar == self.scalar:
             return self
         if scalar == COMPLEX:
-            return ConvMatrix(self.rows, self.cols, self.to_numpy(), COMPLEX)
+            return _matrix(self.to_numpy(np.complex128), COMPLEX)
         raise ScalarError("cannot convert a complex-float matrix to the exact backend")
 
     def max_abs(self) -> float:
-        if self.scalar == COMPLEX:
-            return float(np.abs(self._array).max())
-        return max(float(abs(v)) for row in self.data for v in row)
+        return float(np.abs(self.to_numpy()).max())
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        if self.scalar == COMPLEX:
-            return bool((np.abs(self._array) <= tol).all())
-        return all(v == 0 for row in self.data for v in row)
+        if not tol:
+            return not self._array.any()
+        return bool((np.abs(self._array) <= tol).all())
 
     def is_real(self, tol: float = 0.0) -> bool:
         return self.scalar == RATIONAL or bool((np.abs(self._array.imag) <= tol).all())
@@ -362,6 +350,22 @@ def _require_same_backend(a: ConvMatrix, b: ConvMatrix):
         raise BackendMismatchError(f"backend mismatch: {a.scalar} vs {b.scalar}")
 
 
+def _matrix(arr: np.ndarray, scalar: str) -> ConvMatrix:
+    """A matrix over ``arr``, an array just built here: frozen in place, not copied."""
+    m = ConvMatrix.__new__(ConvMatrix)
+    m._adopt(*arr.shape, arr, scalar)
+    return m
+
+
+def _scaled_identity(rows: int, cols: int, c, scalar: str) -> np.ndarray:
+    """c I as a fresh array: c * 0 off the origin and c * 1 at it, as ``scale`` gives."""
+    dtype = np.complex128 if scalar == COMPLEX else object
+    zero, unit = np.array([numerics.zero(scalar), numerics.one(scalar)], dtype=dtype) * c
+    arr = np.full((rows, cols), zero, dtype=dtype)
+    arr[:1, :1] = unit
+    return arr
+
+
 def antidiagonal_indices(rows: int, cols: int) -> Iterator[tuple]:
     """Grid indices ordered by anti-diagonal (i+j ascending, then i)."""
     for s in range(rows + cols - 1):
@@ -373,26 +377,28 @@ def antidiagonal_indices(rows: int, cols: int) -> Iterator[tuple]:
 # ring operations
 # ----------------------------------------------------------------------
 
-def _conv_window(a: ConvMatrix, b: ConvMatrix, rows: int, cols: int,
-                 top: Optional[int] = None) -> ConvMatrix:
-    """Top-left rows x cols window of the full 2-D convolution of a and b.
+def _conv_window(a: np.ndarray, b: np.ndarray, rows: int, cols: int,
+                 top: Optional[int] = None) -> np.ndarray:
+    """Top-left rows x cols window of the full 2-D convolution of arrays a and b.
 
     Entry (i, j) gathers a[l, k] b[i-l, j-k] over every (l, k) with both
-    factors inside their matrices.
+    factors inside their arrays: storage arrays of one backend.  The
+    result is a fresh, writeable array of their dtype.
 
-    On the rational backend the operands first go over common
-    denominators (:func:`juryconv.numerics.integer_operands`): the loop
-    multiplies and adds Python ints, l and then k ascending, which is
-    exact, and each output entry becomes one ``Fraction(sum, da*db)``
-    with a single gcd, equal to the Fraction sum.  Only anti-diagonals
-    i+j <= ``top`` (default: all) are summed; the rest stay zero, for
-    :func:`ring_taylor`'s cap.
+    On the rational backend (object arrays of ``Fraction``) the operands
+    first go over common denominators
+    (:func:`juryconv.numerics.integer_operands`): the loop multiplies and
+    adds Python ints, l and then k ascending, which is exact, and
+    :func:`juryconv.numerics.fraction_array` turns each integer sum into
+    one ``Fraction(sum, da*db)`` with a single gcd, equal to the Fraction
+    sum.  Only anti-diagonals i+j <= ``top`` (default: all) are summed;
+    the rest stay zero, for :func:`ring_taylor`'s cap.
 
-    On the complex backend one route serves every shape,
-    :func:`_gemm_window`, and ``top`` is ignored: the full window is
-    what the uncapped Horner step gives.  Each entry sums the k <= M*N
-    products a[l, k] b[i-l, j-k] of the definition, in BLAS's order,
-    plus products with an exact zero, which add nothing.  Hence:
+    On the complex backend (``complex128``) one route serves every
+    shape, :func:`_gemm_window`, and ``top`` is ignored: the full window
+    is what the uncapped Horner step gives.  Each entry sums the
+    k <= M*N products a[l, k] b[i-l, j-k] of the definition, in BLAS's
+    order, plus products with an exact zero, which add nothing.  Hence:
 
     - the error is entrywise, |fl(A<>B) - A<>B| <= gamma_(k+2) (|A| <> |B|)
       with gamma_n = n u / (1 - n u) (Higham, *Accuracy and Stability of
@@ -411,16 +417,15 @@ def _conv_window(a: ConvMatrix, b: ConvMatrix, rows: int, cols: int,
     their relative accuracy and the rule above would break; it is the
     faster product only from about 64x64 up.
     """
-    if a.scalar == COMPLEX:
-        return ConvMatrix(rows, cols, _gemm_window(a.to_numpy(), b.to_numpy(), rows, cols),
-                          COMPLEX)
-    ad, bd, finish = numerics.integer_operands(a.data, b.data)
-    col_ranges = [range(max(0, j - b.cols + 1), min(j, a.cols - 1) + 1)
-                  for j in range(cols)]
-    out = []
+    if a.dtype != object:
+        return _gemm_window(a, b, rows, cols)
+    (arows, acols), (brows, bcols) = a.shape, b.shape
+    ad, bd, d = numerics.integer_operands(a, b)
+    col_ranges = [range(max(0, j - bcols + 1), min(j, acols - 1) + 1) for j in range(cols)]
+    sums = []
     for i in range(rows):
         row_pairs = [(ad[l], bd[i - l])
-                     for l in range(max(0, i - b.rows + 1), min(i, a.rows - 1) + 1)]
+                     for l in range(max(0, i - brows + 1), min(i, arows - 1) + 1)]
         row = []
         for j, ks in enumerate(col_ranges if top is None else col_ranges[:max(0, top - i + 1)]):
             acc = 0
@@ -428,10 +433,8 @@ def _conv_window(a: ConvMatrix, b: ConvMatrix, rows: int, cols: int,
                 for k in ks:
                     acc += arow[k] * brow[j - k]
             row.append(acc)
-        out.append(row)
-    if top is not None:
-        out = [row + [0] * (cols - len(row)) for row in out]
-    return ConvMatrix(rows, cols, finish(out), a.scalar)
+        sums.append(row if len(row) == cols else row + [0] * (cols - len(row)))
+    return numerics.fraction_array(sums, d)
 
 
 def _gemm_window(a: np.ndarray, b: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -464,7 +467,7 @@ def conv(a: ConvMatrix, b: ConvMatrix) -> ConvMatrix:
     """Truncated 2-D convolution of two same-shape matrices."""
     _require_same_shape(a, b)
     _require_same_backend(a, b)
-    return _conv_window(a, b, a.rows, a.cols)
+    return _matrix(_conv_window(a._array, b._array, a.rows, a.cols), a.scalar)
 
 
 def padded_conv(a: ConvMatrix, b: ConvMatrix) -> ConvMatrix:
@@ -474,46 +477,30 @@ def padded_conv(a: ConvMatrix, b: ConvMatrix) -> ConvMatrix:
     to the top-left common window reproduces the truncated convolution.
     """
     _require_same_backend(a, b)
-    return _conv_window(a, b, a.rows + b.rows - 1, a.cols + b.cols - 1)
+    return _matrix(_conv_window(a._array, b._array, a.rows + b.rows - 1, a.cols + b.cols - 1),
+                   a.scalar)
 
 
 def conv_identity(rows: int, cols: int, scalar: str = RATIONAL) -> ConvMatrix:
     """The multiplicative identity: 1 at (0, 0), 0 elsewhere."""
-    z = numerics.zero(scalar)
-    o = numerics.one(scalar)
-    data = tuple(
-        tuple(o if (i, j) == (0, 0) else z for j in range(cols))
-        for i in range(rows)
-    )
-    return ConvMatrix(rows, cols, data, scalar)
+    return _matrix(_scaled_identity(rows, cols, numerics.one(scalar), scalar), scalar)
 
 
 def add(a: ConvMatrix, b: ConvMatrix) -> ConvMatrix:
     _require_same_shape(a, b)
     _require_same_backend(a, b)
-    if a.scalar == COMPLEX:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return ConvMatrix(a.rows, a.cols, a.to_numpy() + b.to_numpy(), COMPLEX)
-    data = tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.data, b.data)
-    )
-    return ConvMatrix(a.rows, a.cols, data, a.scalar)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _matrix(a._array + b._array, a.scalar)
 
 
 def scale(alpha, a: ConvMatrix) -> ConvMatrix:
     c = numerics.coerce(alpha, a.scalar)
-    if a.scalar == COMPLEX:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return ConvMatrix(a.rows, a.cols, c * a.to_numpy(), COMPLEX)
-    data = tuple(tuple(c * v for v in row) for row in a.data)
-    return ConvMatrix(a.rows, a.cols, data, a.scalar)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _matrix(c * a._array, a.scalar)
 
 
 def transpose(a: ConvMatrix) -> ConvMatrix:
-    if a.scalar == COMPLEX:
-        return ConvMatrix(a.cols, a.rows, a.to_numpy().T, COMPLEX)
-    data = tuple(tuple(a.data[i][j] for i in range(a.rows)) for j in range(a.cols))
-    return ConvMatrix(a.cols, a.rows, data, a.scalar)
+    return _matrix(a._array.T.copy(), a.scalar)
 
 
 def conv_power_naive(a: ConvMatrix, kappa: int) -> ConvMatrix:
@@ -605,17 +592,9 @@ def nilpotent_part(a: ConvMatrix) -> ConvMatrix:
     G^(<>l) vanishes for l >= M+N-1, since every entry of a product of l
     factors sums l indices of the punctured grid.
     """
-    return _with_origin(a, numerics.zero(a.scalar))
-
-
-def _with_origin(a: ConvMatrix, value) -> ConvMatrix:
-    """``a`` with its (0, 0) entry replaced by ``value``."""
-    if a.scalar == COMPLEX:
-        arr = a.to_numpy().copy()
-        arr[0, 0] = value
-        return ConvMatrix(a.rows, a.cols, arr, COMPLEX)
-    first = (value,) + a.data[0][1:]
-    return ConvMatrix(a.rows, a.cols, (first,) + a.data[1:], a.scalar)
+    arr = a._array.copy()
+    arr[0, 0] = numerics.zero(a.scalar)
+    return _matrix(arr, a.scalar)
 
 
 def ring_taylor(coeffs: Iterable, x: ConvMatrix) -> ConvMatrix:
@@ -625,6 +604,9 @@ def ring_taylor(coeffs: Iterable, x: ConvMatrix) -> ConvMatrix:
     nilpotent part G, whose powers vanish from order M+N-1, callers pass
     M+N-1 coefficients.  Coefficients are coerced to X's backend: on the
     rational backend they must be exact (ints, Fractions or "p/q" strings).
+    Each step is one :func:`_conv_window` call and one add at the origin,
+    on arrays; only the result becomes a :class:`ConvMatrix`, whose
+    validation reports a float overflow anywhere in the chain.
     On rationals, at a zero origin, step l sums only anti-diagonals
     i+j <= M+N-2-l, all R_0 needs: (R <> X)[i, j] reads R on lower
     anti-diagonals, save the zero product R[i, j] X[0, 0].  Skipped
@@ -636,11 +618,13 @@ def ring_taylor(coeffs: Iterable, x: ConvMatrix) -> ConvMatrix:
     if not cs:
         return ConvMatrix.zeros(x.rows, x.cols, x.scalar)
     full, nilpotent = x.rows + x.cols - 2, x[0, 0] == 0
-    result = scale(cs[-1], conv_identity(x.rows, x.cols, x.scalar))
-    for l in range(len(cs) - 2, -1, -1):
-        prod = _conv_window(result, x, x.rows, x.cols, full - l if nilpotent else None)
-        result = _with_origin(prod, prod[0, 0] + cs[l])
-    return result
+    result = _scaled_identity(x.rows, x.cols, cs[-1], x.scalar)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(len(cs) - 2, -1, -1):
+            result = _conv_window(result, x._array, x.rows, x.cols,
+                                  full - l if nilpotent else None)
+            result[0, 0] += cs[l]
+    return _matrix(result, x.scalar)
 
 
 def matrices_close(a: ConvMatrix, b: ConvMatrix, tol: float = 1e-12) -> bool:

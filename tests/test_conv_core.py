@@ -1,6 +1,8 @@
 """Ring structure tests for the truncated convolution product."""
 
+import pickle
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -423,6 +425,30 @@ class TestRingTaylor:
         with pytest.raises(ScalarError):
             ring_taylor([1, 0.5], ConvMatrix.rational([[0, 1]]))
 
+    @pytest.mark.parametrize("scalar", ["rational", "complex"])
+    def test_one_construction_per_chain(self, scalar, monkeypatch):
+        # The Horner steps run on arrays; only the result becomes a ConvMatrix.
+        a = rand_invertible_matrix(random.Random(83), 3, 4).astype(scalar)
+        xs = (a, nilpotent_part(a))
+        size = a.rows + a.cols - 1
+        post_init, calls = ConvMatrix.__post_init__, []
+        monkeypatch.setattr(ConvMatrix, "__post_init__",
+                            lambda self: calls.append(1) or post_init(self))
+        for length in (1, size, size + 3):
+            for x in xs:
+                calls.clear()
+                ring_taylor([Fraction(k + 1, 3) for k in range(length)], x)
+                assert len(calls) == 1
+
+    def test_overflow_inside_chain_surfaces(self):
+        # Validation runs once, on the result: a chain that overflows still raises.
+        big = ConvMatrix.floats([[0.5, 1e200], [1e200, 1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (big, nilpotent_part(big)):
+                with pytest.raises(ScalarError):
+                    ring_taylor([1.0, 1.0, 1.0], x)
+
 
 class TestElementwiseOps:
     def test_transpose(self):
@@ -447,6 +473,44 @@ class TestConstructionAndSerialization:
     def test_nonfinite_rejected(self):
         with pytest.raises(ScalarError):
             ConvMatrix.floats([[float("nan")]])
+
+    @pytest.mark.parametrize("scalar", ["rational", "complex"])
+    def test_ragged_rows_and_wrong_row_count_rejected(self, scalar):
+        one = numerics.one(scalar)
+        with pytest.raises(ShapeMismatchError):
+            ConvMatrix(2, 2, ((one, one), (one,)), scalar)
+        with pytest.raises(ShapeMismatchError):
+            ConvMatrix(2, 2, ((one, one, one), (one,)), scalar)
+        with pytest.raises(ShapeMismatchError):
+            ConvMatrix(3, 2, ((one, one), (one, one)), scalar)
+
+    @pytest.mark.parametrize("entry", [1, 0.5, True, "1/2"])
+    def test_rational_entries_must_be_fractions(self, entry):
+        with pytest.raises(ScalarError):
+            ConvMatrix(1, 2, ((Fraction(1), entry),), "rational")
+
+    @pytest.mark.parametrize("scalar", ["rational", "complex"])
+    def test_caller_array_is_copied(self, scalar):
+        dtype = object if scalar == "rational" else complex
+        arr = np.array([[numerics.coerce(v, scalar) for v in row] for row in [[1, 2], [3, 4]]],
+                       dtype=dtype)
+        m = ConvMatrix(2, 2, arr, scalar)
+        assert arr.flags.writeable
+        arr[0, 0] = numerics.coerce(9, scalar)
+        assert m[0, 0] == 1 and m.to_lists() == [[1, 2], [3, 4]]
+
+    @pytest.mark.parametrize("scalar, build, rows", [
+        ("rational", ConvMatrix.rational, [[Fraction(1, 3), -2], [Fraction(5, 2), 7]]),
+        ("complex", ConvMatrix.floats, [[0.25, complex(-2, 1)], [2.5, 7.0]]),
+    ])
+    def test_construction_routes_agree(self, scalar, build, rows):
+        first = build(rows)
+        tuples = tuple(tuple(numerics.coerce(v, scalar) for v in row) for row in rows)
+        built = [first, ConvMatrix(2, 2, tuples, scalar), first + ConvMatrix.zeros(2, 2, scalar)]
+        built += [pickle.loads(pickle.dumps(m)) for m in built]
+        for m in built:
+            assert m == first and hash(m) == hash(first) and repr(m) == repr(first)
+            assert m.data == tuples
 
     def test_json_roundtrip_rational(self):
         a = ConvMatrix.rational([["1/3", 2], [3, "-4/7"]])

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -410,6 +411,14 @@ class TestSeriesTransform:
 
         with pytest.raises(SeriesDivergenceError):
             series_transform(geometric(), a, term_budget=500)
+
+    def test_matrix_overflow_detected(self):
+        # The d_l stay finite at a00 = 0.5; G <> G overflows inside the one ring_taylor chain.
+        a = ConvMatrix.floats([[0.5, 1e200], [1e200, 1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeriesDivergenceError):
+                series_transform([1 / math.factorial(k) for k in range(30)], a)
 
 
 class TestSeriesFold:
