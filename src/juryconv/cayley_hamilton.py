@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import numerics
 from .conv_core import ConvMatrix, conv, nilpotent_part, ring_taylor
 from .numerics import COMPLEX, RATIONAL
 from .transforms import Poly, poly_transform
@@ -109,10 +108,7 @@ def _nilpotency_degree(a: ConvMatrix):
         threshold = 0.0 if exact else _rounding_tol(a, bound.max_abs())
         if power.is_zero(threshold):
             return kappa, witness
-        witness = next(
-            (i, j) for (i, j) in power.indices()
-            if not numerics.is_zero_scalar(power.data[i][j], a.scalar, threshold)
-        )
+        witness = next(ij for ij in power.indices() if abs(power[ij]) > threshold)
         if kappa < d:
             power = conv(power, base)
             if not exact:

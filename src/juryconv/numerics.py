@@ -189,9 +189,3 @@ def close(a, b, tol: float = 1e-12) -> bool:
     a = complex(a)
     b = complex(b)
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
-def is_zero_scalar(value: Scalar, backend: str, tol: float = 0.0) -> bool:
-    if backend == RATIONAL:
-        return value == 0
-    return abs(complex(value)) <= tol

@@ -61,6 +61,8 @@ def assert_entrywise_bound(product, a: ConvMatrix, b: ConvMatrix, got: ConvMatri
     apart, and so does k, the number of products in each entry (the same
     window of all-ones operands).  The moduli are rounded floats, each at
     most an ulp below the true modulus, hence the (1 + 2u)^2 on the bound.
+    With ``got`` the identity and ``b`` a computed inverse of ``a``, it
+    bounds the residual |a<>b - I| instead.
     """
     def part(m, f):
         return ConvMatrix.rational([[f(v) for v in row] for row in m.data])
