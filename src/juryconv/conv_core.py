@@ -35,8 +35,12 @@ structural zeros.  The ring product :func:`conv` is its M x N window and
 is defined only for equal shapes; the padded, shape-growing product
 :func:`padded_conv` is its (M1+M2-1) x (N1+N2-1) window, re-exported by
 :mod:`juryconv.probgrid` for grid distributions; :func:`ring_taylor`
-runs its whole Horner chain on arrays.  These three are its only
-callers, and each wraps one result array as a :class:`ConvMatrix`.
+runs its rational Horner chains on arrays through it.  These three are
+its only callers, and each wraps one result array as a
+:class:`ConvMatrix`.  A complex Horner chain holds one factor fixed, so
+it has its own route, :func:`_gemm_chain`: X's Toeplitz blocks stacked
+once, and one matmul per block of rows per step, with the kernel's
+entrywise bound at every step.
 """
 
 from __future__ import annotations
@@ -392,11 +396,13 @@ def _conv_window(a: np.ndarray, b: np.ndarray, rows: int, cols: int,
     :func:`juryconv.numerics.fraction_array` turns each integer sum into
     one ``Fraction(sum, da*db)`` with a single gcd, equal to the Fraction
     sum.  Only anti-diagonals i+j <= ``top`` (default: all) are summed;
-    the rest stay zero, for :func:`ring_taylor`'s cap.
+    the rest stay zero, for :func:`ring_taylor`'s cap.  Its callers are
+    :func:`conv`, :func:`padded_conv` and rational Horner chains.
 
     On the complex backend (``complex128``) one route serves every
-    shape, :func:`_gemm_window`, and ``top`` is ignored: the full window
-    is what the uncapped Horner step gives.  Each entry sums the
+    shape, :func:`_gemm_window`, and ``top`` is ignored (no complex
+    caller passes it; complex chains run :func:`_gemm_chain`, which
+    sums the same products per entry).  Each entry sums the
     k <= M*N products a[l, k] b[i-l, j-k] of the definition, in BLAS's
     order, plus products with an exact zero, which add nothing.  Hence:
 
@@ -437,30 +443,76 @@ def _conv_window(a: np.ndarray, b: np.ndarray, rows: int, cols: int,
     return numerics.fraction_array(sums, d)
 
 
+def _toeplitz_rows(a: np.ndarray, nb: int, cols: int):
+    """(padded, index) with ``padded[l, index]`` = T_l, T_l[m, j] = a[l, j-m].
+
+    T_l is the nb x cols upper-triangular Toeplitz block of row l of A,
+    zero off A's columns; ``padded`` is A's rows, zero-padded on the left.
+    """
+    ma, na = a.shape
+    padded = np.zeros((ma, nb + cols), dtype=np.complex128)
+    padded[:, nb:nb + min(na, cols)] = a[:, :cols]
+    return padded, nb + np.arange(cols) - np.arange(nb)[:, None]
+
+
 def _gemm_window(a: np.ndarray, b: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """The complex window: out[l:l+r] += B[:r] @ T_l over the rows l of A.
 
-    T_l[m, j] = a[l, j-m], zero off A's columns, is an upper-triangular
-    Toeplitz block, one gather from a zero-padded copy of row l.  The
-    blocks lie along the shorter output axis (conv commutes with
-    transposition), which bounds the workspace by a few times the
-    output: one block lying along the longer axis of two 1 x 3000
-    operands would be 3000 x 5999.
+    T_l[m, j] = a[l, j-m] is one gather from a zero-padded copy of row l
+    (:func:`_toeplitz_rows`).  The blocks lie along the shorter output
+    axis (conv commutes with transposition), which bounds the workspace
+    by a few times the output: one block lying along the longer axis of
+    two 1 x 3000 operands would be 3000 x 5999.
     """
     if cols > rows:
         return _gemm_window(a.T, b.T, cols, rows).T
     nb = min(b.shape[1], cols)
     b = b[:, :nb]
-    ma, na = a.shape
-    padded = np.zeros((ma, nb + cols), dtype=np.complex128)
-    padded[:, nb:nb + min(na, cols)] = a[:, :cols]
-    toeplitz = nb + np.arange(cols) - np.arange(nb)[:, None]
+    padded, toeplitz = _toeplitz_rows(a, nb, cols)
     out = np.zeros((rows, cols), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(min(ma, rows)):
+        for l in range(min(a.shape[0], rows)):
             r = min(b.shape[0], rows - l)
             out[l:l + r] += b[:r] @ padded[l, toeplitz]
     return out
+
+
+# Entries gathered per matmul of a complex Horner step (:func:`_gemm_chain`):
+# it sets the row-block height, so it bounds the workspace on thin shapes.
+_CHAIN_GATHER_BUDGET = 1 << 16
+
+
+def _gemm_chain(cs: list, x: np.ndarray) -> np.ndarray:
+    """Complex Horner R <- R <> X + c I over ``cs`` from the last; R's array.
+
+    X is fixed, so its Toeplitz blocks T_l (:func:`_toeplitz_rows`, here
+    N x N) are gathered once, stacked as one (M N) x N array Xs.  A step
+    is then (R <> X)[i] = S[i] @ Xs with S[i, (l, q)] = R[i-l, q], zero
+    for l > i: the row shifts of R, gathered from a copy with zero rows
+    on top.  Rows [i0, i1) read only l < i1, so each block of rows is
+    one matmul with Xs[:i1 N].  The block height keeps a block's gather
+    within _CHAIN_GATHER_BUDGET entries; the blocks run bottom-up, so each
+    overwrites rows of R that no later (higher) block reads, in place.
+    As in :func:`_gemm_window` the blocks lie along the shorter axis.
+    """
+    m, n = x.shape
+    if n > m:
+        return _gemm_chain(cs, x.T).T
+    padded, toeplitz = _toeplitz_rows(x, n, n)
+    xs = np.take(padded, toeplitz, axis=1).reshape(m * n, n)
+    h = max(1, min(m, _CHAIN_GATHER_BUDGET // (m * n)))
+    r = np.zeros((h - 1 + m, n), dtype=np.complex128)
+    r[h - 1, 0] = cs[-1]
+    # shifts[s, l] + i0 is the row of r holding R[i0+s-l]; a block uses shifts[:, :i1].
+    shifts = h - 1 + np.arange(h)[:, None] - np.arange(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in reversed(cs[:-1]):
+            for i0 in range((m - 1) // h * h, -1, -h):
+                i1 = min(i0 + h, m)
+                np.matmul(r[shifts[:i1 - i0, :i1] + i0].reshape(i1 - i0, i1 * n), xs[:i1 * n],
+                          out=r[h - 1 + i0:h - 1 + i1])
+            r[h - 1, 0] += c
+    return r[h - 1:]
 
 
 def conv(a: ConvMatrix, b: ConvMatrix) -> ConvMatrix:
@@ -613,26 +665,41 @@ def ring_taylor(coeffs: Iterable, x: ConvMatrix) -> ConvMatrix:
     nilpotent part G, whose powers vanish from order M+N-1, callers pass
     M+N-1 coefficients.  Coefficients are coerced to X's backend: on the
     rational backend they must be exact (ints, Fractions or "p/q" strings).
-    Each step is one :func:`_conv_window` call and one add at the origin,
-    on arrays; only the result becomes a :class:`ConvMatrix`, whose
-    validation reports a float overflow anywhere in the chain.
-    On rationals, at a zero origin, step l sums only anti-diagonals
-    i+j <= M+N-2-l, all R_0 needs: (R <> X)[i, j] reads R on lower
-    anti-diagonals, save the zero product R[i, j] X[0, 0].  Skipped
-    entries stay zero; as sums start at 0 the result is the uncapped
-    loop's.  The complex kernel ignores that cap and computes every
-    step in full, which is the uncapped result by definition.
+    The steps run on arrays; only the result becomes a
+    :class:`ConvMatrix`, whose validation reports a float overflow
+    anywhere in the chain.  One coefficient is no step: c I.
+
+    On the complex backend the chain is :func:`_gemm_chain`: X's
+    Toeplitz blocks are stacked once, M N min(M, N) entries, and each
+    step is one matmul per block of rows (a block gathers at most
+    _CHAIN_GATHER_BUDGET entries, the rest of the workspace) and one add
+    at the origin.  Each entry of a step sums the same k products as
+    :func:`_conv_window`, plus exact zeros, so with R the computed R_(l+1)
+
+        |fl(R <> X) - R <> X| <= gamma_(k+2) (|R| <> |X|)   entrywise
+
+    at every step, and the add of c_l rounds the origin once more.
+    Structural zeros are exact: at G, coefficients that vanish below
+    order M+N-1 give the zero matrix exactly.
+
+    On the rational backend each step is one :func:`_conv_window` call
+    and one add at the origin.  At a zero origin step l sums only
+    anti-diagonals i+j <= M+N-2-l, all R_0 needs: (R <> X)[i, j] reads R
+    on lower anti-diagonals, save the zero product R[i, j] X[0, 0].
+    Skipped entries stay zero; as sums start at 0 the result is the
+    uncapped loop's.  The cap is rational-only; complex steps are full.
     """
     cs = [numerics.coerce(c, x.scalar) for c in coeffs]
     if not cs:
         return ConvMatrix.zeros(x.rows, x.cols, x.scalar)
+    if x.scalar == COMPLEX and len(cs) > 1:
+        return _matrix(_gemm_chain(cs, x._array).copy(), COMPLEX)
     full, nilpotent = x.rows + x.cols - 2, x[0, 0] == 0
     result = _scaled_identity(x.rows, x.cols, cs[-1], x.scalar)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(len(cs) - 2, -1, -1):
-            result = _conv_window(result, x._array, x.rows, x.cols,
-                                  full - l if nilpotent else None)
-            result[0, 0] += cs[l]
+    for l in range(len(cs) - 2, -1, -1):
+        result = _conv_window(result, x._array, x.rows, x.cols,
+                              full - l if nilpotent else None)
+        result[0, 0] += cs[l]
     return _matrix(result, x.scalar)
 
 

@@ -18,6 +18,7 @@ single ``Fraction`` (one gcd) per entry.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -41,6 +42,18 @@ def factorial(n: int) -> int:
     if n < 0:
         raise ValueError(f"factorial of negative argument {n}")
     return math.factorial(n)
+
+
+@functools.lru_cache(maxsize=None)
+def scaled_factorial(n: int) -> tuple:
+    """(m, e) with n! = m 2^e: e = floor(log2 n!) and m in [1, 2] the rounded quotient.
+
+    int / int true division rounds correctly, so m is n! / 2^e to one
+    rounding, for every n: n! itself leaves float range from n = 171.
+    """
+    f = factorial(n)
+    e = f.bit_length() - 1
+    return f / (1 << e), e
 
 
 def binomial(n: int, k: int) -> int:

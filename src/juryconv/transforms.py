@@ -358,10 +358,22 @@ def poly_transform(p, a: ConvMatrix, mode: str = SUM_OF_POWERS) -> ConvMatrix:
 
 
 def _taylor(values, exact: bool) -> list:
-    """Taylor coefficients values[l] / l!, as Fractions on the exact route."""
+    """Taylor coefficients values[l] / l!, as Fractions on the exact route.
+
+    On floats l! = m 2^e (:func:`juryconv.numerics.scaled_factorial`)
+    never becomes a float, so orders past 170 work.  v / m rounds once,
+    as v / float(l!) does wherever l! is a float (the same bits), and the
+    scaling by 2^-e is exact unless the coefficient is subnormal.
+    """
     if exact:
         return [Fraction(v, numerics.factorial(ell)) for ell, v in enumerate(values)]
-    return [v / numerics.factorial(ell) for ell, v in enumerate(values)]
+    out = []
+    for ell, v in enumerate(values):
+        m, e = numerics.scaled_factorial(ell)
+        q = v / m
+        out.append(complex(math.ldexp(q.real, -e), math.ldexp(q.imag, -e))
+                   if isinstance(q, complex) else math.ldexp(q, -e))
+    return out
 
 
 def smooth_transform(f: FunctionSpec, a: ConvMatrix) -> ConvMatrix:

@@ -1,12 +1,13 @@
 """Shared random generators for the exact-arithmetic test suites."""
 
+import functools
 import random
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
 
-from juryconv import ConvMatrix, elementary_sum
+from juryconv import ConvMatrix, conv, elementary_sum
 
 
 def rand_fraction(rng: random.Random, lo: int = -9, hi: int = 9, max_den: int = 4) -> Fraction:
@@ -52,32 +53,98 @@ def gamma(n: int) -> Fraction:
     return n * UNIT_ROUNDOFF / (1 - n * UNIT_ROUNDOFF)
 
 
+def _dyadic(values: np.ndarray) -> tuple:
+    """Real floats as integers over one power of two: (object array n, s), values = n / 2^s."""
+    ratios = [v.as_integer_ratio() for v in values.ravel().tolist()]
+    s = max(d.bit_length() - 1 for _, d in ratios)
+    ints = np.array([n << (s - d.bit_length() + 1) for n, d in ratios], dtype=object)
+    return ints.reshape(values.shape), s
+
+
+def _parts(z: np.ndarray) -> tuple:
+    """Real parts, imaginary parts and rounded moduli of complex z, as ints over one 2^s."""
+    return _dyadic(np.stack([z.real, z.imag, np.abs(z)]))
+
+
+def _int_window(a: np.ndarray, b: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Top-left rows x cols window of the full 2-D convolution of two int arrays, exactly."""
+    out = np.zeros((rows, cols), dtype=object)
+    for (l, k), v in np.ndenumerate(a):
+        r, c = min(b.shape[0], rows - l), min(b.shape[1], cols - k)
+        if v and r > 0 and c > 0:
+            out[l:l + r, k:k + c] += v * b[:r, :c]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _product_counts(product, ashape, bshape) -> np.ndarray:
+    """The number of products in each entry: ``product`` of all-ones operands, as ints."""
+    ones = (ConvMatrix.rational([[1] * n for _ in range(m)]) for m, n in (ashape, bshape))
+    return np.array([[int(v) for v in row] for row in product(*ones).data], dtype=object)
+
+
+def _assert_bound(product, a: ConvMatrix, b: ConvMatrix, got: ConvMatrix, shift: complex = 0j):
+    """|got - (a<>b + shift I)| <= gamma_(k+2) (|a| <> |b|) at every entry, in integers.
+
+    Every float is an integer over a power of two, so the exact product
+    of the floats' exact values is an integer product over 2^(sa+sb),
+    real and imaginary parts apart (three products, Karatsuba's way).
+    k, the number of products in each entry, is ``product`` (``conv`` or
+    ``padded_conv``) of all-ones operands, which also fixes the window.
+    The moduli are rounded floats, each at most an ulp below the true
+    modulus, hence a factor (1 + 2u)^2 on the bound.  A ``shift`` counts
+    as one more product at the origin, of modulus |shift|.
+    """
+    count = _product_counts(product, a.shape, b.shape).copy()
+    rows, cols = count.shape
+    ((ar, ai, am), sa), ((br, bi, bm), sb) = _parts(a.to_numpy()), _parts(b.to_numpy())
+    rr, ii = _int_window(ar, br, rows, cols), _int_window(ai, bi, rows, cols)
+    want = {"re": rr - ii, "im": _int_window(ar + ai, br + bi, rows, cols) - rr - ii,
+            "mag": _int_window(am, bm, rows, cols)}
+    (gr, gi, _), sg = _parts(got.to_numpy())
+    (cr, ci, cm), sc = _parts(np.array([[shift]]))
+    t = max(sa + sb, sg, sc)
+    want = {key: v * (1 << (t - sa - sb)) for key, v in want.items()}
+    for key, v in zip(want, (cr, ci, cm)):
+        want[key][0, 0] += int(v[0, 0]) << (t - sc)
+    count[0, 0] += shift != 0
+    er, ei = gr * (1 << (t - sg)) - want["re"], gi * (1 << (t - sg)) - want["im"]
+    # gamma_n (1 + 2u)^2 = n (2^53 + 2)^2 / ((2^53 - n) 2^106), n = k + 2.
+    n = count + 2
+    lhs = (er * er + ei * ei) * ((2 ** 53 - n) * 2 ** 106) ** 2
+    rhs = (n * (2 ** 53 + 2) ** 2 * want["mag"]) ** 2
+    bad = [(i, j, float(Fraction(lhs[i, j], rhs[i, j] or 1)) ** 0.5) for i, j in np.argwhere(lhs > rhs)]
+    assert not bad, bad[:5]  # (i, j, error / bound)
+
+
 def assert_entrywise_bound(product, a: ConvMatrix, b: ConvMatrix, got: ConvMatrix):
     """|got - a<>b| <= gamma_(k+2) (|a| <> |b|) at every entry, checked exactly.
 
-    ``product`` is ``conv`` or ``padded_conv``.  The exact product of the
-    floats' exact values (each part converted with ``Fraction``) comes
-    from ``product`` on the rational backend, real and imaginary parts
-    apart, and so does k, the number of products in each entry (the same
-    window of all-ones operands).  The moduli are rounded floats, each at
-    most an ulp below the true modulus, hence the (1 + 2u)^2 on the bound.
-    With ``got`` the identity and ``b`` a computed inverse of ``a``, it
-    bounds the residual |a<>b - I| instead.
+    ``product`` is ``conv`` or ``padded_conv``; k is the number of
+    products in each entry (:func:`_assert_bound`).  With ``got`` the
+    identity and ``b`` a computed inverse of ``a``, it bounds the
+    residual |a<>b - I| instead.
     """
-    def part(m, f):
-        return ConvMatrix.rational([[f(v) for v in row] for row in m.data])
+    _assert_bound(product, a, b, got)
 
-    ar, ai = part(a, lambda v: Fraction(v.real)), part(a, lambda v: Fraction(v.imag))
-    br, bi = part(b, lambda v: Fraction(v.real)), part(b, lambda v: Fraction(v.imag))
-    re = product(ar, br) - product(ai, bi)
-    im = product(ar, bi) + product(ai, br)
-    mag = product(part(a, lambda v: Fraction(abs(v))), part(b, lambda v: Fraction(abs(v))))
-    count = product(part(a, lambda v: Fraction(1)), part(b, lambda v: Fraction(1)))
-    slack = (1 + 2 * UNIT_ROUNDOFF) ** 2
-    for i, j in got.indices():
-        err2 = (Fraction(got[i, j].real) - re[i, j]) ** 2 + (Fraction(got[i, j].imag) - im[i, j]) ** 2
-        bound = gamma(int(count[i, j]) + 2) * mag[i, j] * slack
-        assert err2 <= bound ** 2, (i, j, float(err2) ** 0.5, float(bound))
+
+def assert_chain_bound(chain, coeffs, x: ConvMatrix):
+    """Every Horner step of ``chain`` (``ring_taylor``) within the product bound, checked exactly.
+
+    ``chain(coeffs[l:], x)`` is R_l, the chain's own intermediate: the
+    same steps as in the full chain, which starts from c_(n-1) I.  Step l
+    is R_l = fl(fl(R_(l+1) <> X) + c_l I), with R_(l+1) the computed one,
+    so |R_l - (R_(l+1) <> X + c_l I)| <= gamma_(k+2) (|R_(l+1)| <> |X|)
+    off the origin.  At the origin c_l counts as one more product: the
+    add rounds once more, and (1 + gamma_(k+2))(1 + u) <= 1 + gamma_(k+3).
+    """
+    cs = [complex(c) for c in coeffs]
+    later = chain(cs[-1:], x)
+    assert later == ConvMatrix.from_numpy(np.pad([[cs[-1]]], ((0, x.rows - 1), (0, x.cols - 1))))
+    for l in range(len(cs) - 2, -1, -1):
+        step = chain(cs[l:], x)
+        _assert_bound(conv, later, x, step, cs[l])
+        later = step
 
 
 def first_primes(count: int) -> list:

@@ -62,6 +62,15 @@ class TestTransformCommand:
         data = payload["result"]["data"]
         assert all(abs(entry[0] - 1.0) < 1e-12 for row in data for entry in row)
 
+    def test_exp_past_factorial_float_range(self, tmp_path, capsys):
+        # Orders up to 199: l! leaves float range from l = 171, the Taylor coefficients do not.
+        p = tmp_path / "m.json"
+        p.write_text(ConvMatrix.floats([[1.0] * 200]).to_json())
+        assert main(["transform", str(p), "--function", '{"kind":"exp"}']) == 0
+        data = json.loads(capsys.readouterr().out)["result"]["data"][0]
+        assert data[0] == data[1] == [math.e, 0.0]
+        assert all(math.isfinite(re) and re > 0 for re, _ in data)
+
     def test_stepped_needs_h(self, matrix_files, capsys):
         pa, _ = matrix_files
         code = main(["transform", str(pa), "--function", '{"kind":"exp"}',
@@ -146,9 +155,10 @@ class TestArithmeticErrors:
         self._transform(tmp_path, capsys, "complex", [[1e-320, 1.0]],
                         "--function", '{"kind":"power","alpha":-2}')
 
-    def test_factorial_beyond_float_range(self, tmp_path, capsys):
+    def test_derivative_beyond_float_range(self, tmp_path, capsys):
+        # d^l/dx^l x^0.5 at 1 is about l! / l^1.5, past float range from l = 172.
         self._transform(tmp_path, capsys, "complex", [[1.0] * 200],
-                        "--function", '{"kind":"exp"}')
+                        "--function", '{"kind":"power","alpha":0.5}')
 
     def test_step_power_underflow(self, tmp_path, capsys):
         self._transform(tmp_path, capsys, "complex", [[1.0] * 200],

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -26,14 +27,16 @@ from juryconv import (
     transpose,
 )
 from juryconv.conv_core import antidiagonal_indices, matrices_close, nilpotent_part, ring_taylor
-from juryconv import numerics
+from juryconv import conv_core, numerics
 from juryconv.numerics import ScalarError
 
 from helpers import (
     UNIT_ROUNDOFF,
+    assert_chain_bound,
     assert_entrywise_bound,
     coprime_matrices,
     coprime_matrix,
+    gamma,
     huge_fraction,
     numpy_full_conv,
     rand_fraction,
@@ -359,6 +362,10 @@ class TestFloatInverseResiduals:
             assert_entrywise_bound(conv, a, conv_inverse_recursive(a), conv_identity(n, n, "complex"))
 
 
+def _complex_matrix(rng, m, n):
+    return ConvMatrix.from_numpy(rng.uniform(-1, 1, (m, n)) + 1j * rng.uniform(-1, 1, (m, n)))
+
+
 def _horner_reference(coeffs, x):
     """ring_taylor without the anti-diagonal cap: one full ``conv`` per Horner step."""
     cs = [numerics.coerce(c, x.scalar) for c in coeffs]
@@ -373,13 +380,14 @@ def _horner_reference(coeffs, x):
 
 
 class TestRingTaylorCap:
-    """At a zero origin ring_taylor sums only the anti-diagonals later steps read."""
+    """At a zero origin ring_taylor sums only the anti-diagonals later steps read.
+
+    The cap is rational-only: there the result is the uncapped loop's,
+    bit for bit.  A complex chain runs every step in full on its own
+    route, so it is held to the product's entrywise bound at every step.
+    """
 
     SHAPES = [(1, 1), (1, 6), (6, 1), (3, 3), (4, 2), (2, 5), (8, 8)]
-
-    @staticmethod
-    def _complex_matrix(rng, m, n):
-        return ConvMatrix.from_numpy(rng.uniform(-1, 1, (m, n)) + 1j * rng.uniform(-1, 1, (m, n)))
 
     @staticmethod
     def _assert_uncapped(cs, x):
@@ -387,28 +395,30 @@ class TestRingTaylorCap:
         assert got == want
         assert repr(got.data) == repr(want.data)  # signed zeros too
 
-    def _check(self, x, coeff):
+    def _check(self, x, coeff, check):
         size = x.rows + x.cols - 1
         for length in (max(1, size - 2), size, size + 3):
             cs = [coeff() for _ in range(length)]
             for origin in (nilpotent_part(x), x):
-                self._assert_uncapped(cs, origin)
+                check(cs, origin)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_rational(self, shape):
         rng = random.Random(shape[0] * 10 + shape[1])
-        self._check(rand_invertible_matrix(rng, *shape), lambda: rand_fraction(rng))
+        self._check(rand_invertible_matrix(rng, *shape), lambda: rand_fraction(rng),
+                    self._assert_uncapped)
 
     @pytest.mark.parametrize("shape", SHAPES + [(16, 16)])
     def test_complex(self, shape):
         rng = np.random.default_rng(list(shape))
-        self._check(self._complex_matrix(rng, *shape),
-                    lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+        self._check(_complex_matrix(rng, *shape),
+                    lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                    lambda cs, x: assert_chain_bound(ring_taylor, cs, x))
 
     def test_negative_zero_origin(self):
         # conv_inverse_ch runs Horner at -G/a00, whose origin may be -0.0.
-        x = scale(-1.0, nilpotent_part(self._complex_matrix(np.random.default_rng(9), 4, 4)))
-        self._assert_uncapped([1.0] * 9, x)
+        x = scale(-1.0, nilpotent_part(_complex_matrix(np.random.default_rng(9), 4, 4)))
+        assert_chain_bound(ring_taylor, [1.0] * 9, x)
 
 
 class TestRingTaylor:
@@ -459,6 +469,74 @@ class TestRingTaylor:
             for x in (big, nilpotent_part(big)):
                 with pytest.raises(ScalarError):
                     ring_taylor([1.0, 1.0, 1.0], x)
+
+
+class TestComplexChain:
+    """The complex Horner route: X's Toeplitz stack once, one matmul per block of rows."""
+
+    @staticmethod
+    def _coeffs(rng, count):
+        return list(rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count))
+
+    @pytest.mark.parametrize("shape", [(3, 12), (12, 3), (1, 64), (64, 1)])
+    def test_both_sides_of_the_transpose(self, shape):
+        rng = np.random.default_rng([*shape, 7])
+        x, cs = _complex_matrix(rng, *shape), self._coeffs(rng, sum(shape) - 1)
+        for origin in (nilpotent_part(x), x):
+            assert_chain_bound(ring_taylor, cs, origin)
+            # The blocks lie along the shorter axis either way: the same arithmetic.
+            assert ring_taylor(cs, transpose(origin)) == transpose(ring_taylor(cs, origin))
+
+    @pytest.mark.parametrize("budget", [1, 50, 200])
+    @pytest.mark.parametrize("shape", [(8, 8), (5, 3), (2, 9)])
+    def test_row_blocks(self, shape, budget, monkeypatch):
+        # Budgets below M N give one row per block; 50 and 200 give uneven blocks.
+        monkeypatch.setattr(conv_core, "_CHAIN_GATHER_BUDGET", budget)
+        rng = np.random.default_rng([*shape, budget])
+        x, cs = _complex_matrix(rng, *shape), self._coeffs(rng, sum(shape) - 1)
+        for origin in (nilpotent_part(x), x):
+            assert_chain_bound(ring_taylor, cs, origin)
+
+    def test_row_blocks_48(self):
+        # At the default budget a 48x48 chain runs in two blocks of rows.
+        assert conv_core._CHAIN_GATHER_BUDGET // (48 * 48) < 48
+        rng = np.random.default_rng(48)
+        x = _complex_matrix(rng, 48, 48)
+        assert_chain_bound(ring_taylor, self._coeffs(rng, 3), nilpotent_part(x))
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 12), (12, 3), (8, 8), (1, 64)])
+    def test_structural_zeros_exact(self, shape, budget, monkeypatch):
+        # G^(<>(M+N-1)) is the zero matrix exactly, not to rounding; G^(<>(M+N-2)) is not zero.
+        if budget:
+            monkeypatch.setattr(conv_core, "_CHAIN_GATHER_BUDGET", budget)
+        g = nilpotent_part(_complex_matrix(np.random.default_rng(list(shape)), *shape))
+        d = sum(shape) - 1
+        assert ring_taylor([0] * d + [1], g) == ConvMatrix.zeros(*shape, "complex")
+        assert ring_taylor([0] * (d - 1) + [1], g).max_abs() > 0
+
+    @pytest.mark.parametrize("shape", [(1, 3000), (3000, 1)])
+    def test_thin_chain_workspace_bounded(self, shape):
+        # A degree-5 chain: the gather budget bounds each block, so the peak
+        # stays a few MB, where all row shifts at once would be 3000 x 3000.
+        rng = np.random.default_rng(89)
+        x = _complex_matrix(rng, *shape)
+        cs = self._coeffs(rng, 6)
+        tracemalloc.start()
+        try:
+            got = ring_taylor(cs, x).to_numpy().ravel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2 ** 20
+        # np.convolve sums each entry directly; each of the 5 steps errs by gamma_(k+2), k <= 3000.
+        xv, want, mag = x.to_numpy().ravel(), np.full(1, cs[-1]), np.full(1, abs(cs[-1]))
+        for c in reversed(cs[:-1]):
+            want = np.convolve(want, xv)[:3000]
+            mag = np.convolve(mag, np.abs(xv))[:3000]
+            want[0] += c
+            mag[0] += abs(c)
+        assert (np.abs(got - want) <= 20 * float(gamma(3002)) * mag).all()
 
 
 class TestElementwiseOps:

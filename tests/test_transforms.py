@@ -27,7 +27,7 @@ from juryconv import (
     stepped_transform,
 )
 from juryconv import Interval, elementary_sum, sample_psd
-from juryconv import conv_core
+from juryconv import transforms
 from juryconv.conv_core import matrices_close, nilpotent_part, ring_taylor
 
 from helpers import rand_fraction, rand_rational_matrix
@@ -277,6 +277,24 @@ class TestSmoothTransform:
         a = rand_rational_matrix(rng, 3, 3)
         assert smooth_transform(FunctionSpec.polynomial(p), a) == poly_transform(p, a)
 
+    @pytest.mark.parametrize("a00, g", [(0.5, 1.0), (700.0, 0.5)])
+    def test_exp_orders_past_factorial_float_range(self, a00, g):
+        # On [[a00, g, 0, ...]] entry k is e^a00 g^k / k!: the chain shifts and
+        # scales by a power of two exactly, so entry k is the k-th Taylor
+        # coefficient times g^k.  Against the float e^a00 that coefficient
+        # carries two roundings (of k! / 2^e and of the quotient), plus one
+        # of 2^-1074 in the subnormal range.  At a00 = 700 every entry is a
+        # normal float although 1/k! is below float range from k = 171.
+        a = ConvMatrix.floats([[a00, g] + [0.0] * 198])
+        got = smooth_transform(FunctionSpec.exp(), a)
+        e = Fraction(math.exp(a00))
+        for k in range(200):
+            want = float(e * Fraction(g) ** k / math.factorial(k))
+            assert got[0, k].imag == 0
+            assert abs(got[0, k].real - want) <= 3 * 2.0 ** -53 * want + 2.0 ** -1074, k
+        if a00 == 700.0:
+            assert got[0, 199].real > 1e-300
+
     def test_domain_enforced(self):
         a = ConvMatrix.floats([[-1.0, 0.5], [0.5, 0.5]])
         with pytest.raises(DomainError):
@@ -456,16 +474,17 @@ class TestSeriesFold:
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (5, 5)])
     def test_kernel_calls_fixed_by_shape(self, shape, monkeypatch):
+        # Whatever the stream length: one ring_taylor call with M+N-1 coefficients.
         calls = []
-        kernel = conv_core._conv_window
-        monkeypatch.setattr(conv_core, "_conv_window",
-                            lambda *args: calls.append(1) or kernel(*args))
+        chain = transforms.ring_taylor
+        monkeypatch.setattr(transforms, "ring_taylor",
+                            lambda cs, x: calls.append(len(cs)) or chain(cs, x))
         m, n = shape
         a = ConvMatrix.floats([[0.5 + 0.1 * (i + j) for j in range(n)] for i in range(m)])
         for stream in ([], [1.0], self.EXP[:m + n], self.EXP):
             calls.clear()
             series_transform(stream, a)
-            assert len(calls) == m + n - 2
+            assert calls == [m + n - 1]
 
 
 class TestBivariatePowerMatrix:
