@@ -17,37 +17,42 @@ the closed-form inverse, the functional calculus and power series, at A
 for the polynomial action, the annihilator check and the padded action
 of :mod:`juryconv.probgrid`.
 
-Both backends store a matrix as one read-only 2-D array, ``complex128``
-or object dtype holding ``Fraction``, so entrywise operations are single
-array operations on either; the ``data`` tuples are a view built on
-first use.
+Both backends store a matrix as one read-only 2-D array, so entrywise
+operations are single array operations on either: ``complex128`` on the
+complex one; on the rational one an object array N of Python ints over
+one positive denominator d, in lowest terms (gcd(d, N) = 1), a canonical
+form.  ``Fraction``s are built only when entries are read: entry access,
+the ``data`` tuples (a view built on first use), JSON and CSV.
 
 The convolution sum itself is written once, in :func:`_conv_window`,
 which maps two storage arrays to a top-left window of their full 2-D
 convolution, an array again.  On the rational backend it sums Python
-ints over one common denominator per operand and builds one
-``Fraction`` (one gcd) per output entry; integer sums are exact and
-``Fraction`` is canonical, so the result is the one the Fraction
-arithmetic would give, at a fraction of its cost.  On the complex
-backend it is a sum of BLAS products with Toeplitz blocks
-(:func:`_gemm_window`), with an entrywise error bound and exact
-structural zeros.  The ring product :func:`conv` is its M x N window and
-is defined only for equal shapes; the padded, shape-growing product
-:func:`padded_conv` is its (M1+M2-1) x (N1+N2-1) window, re-exported by
-:mod:`juryconv.probgrid` for grid distributions; :func:`ring_taylor`
-runs its rational Horner chains on arrays through it.  These three are
-its only callers, and each wraps one result array as a
-:class:`ConvMatrix`.  A complex Horner chain holds one factor fixed, so
-it has its own route, :func:`_gemm_chain`: X's Toeplitz blocks stacked
-once, and one matmul per block of rows per step, with the kernel's
-entrywise bound at every step.
+ints, N_a and N_b, in :func:`_int_window`; the result lies over
+d_a d_b, and one content-gcd pass brings it to lowest terms.  Integer
+sums are exact, so the result is the one the Fraction arithmetic would
+give, at a fraction of its cost.  On the complex backend it is a sum of
+BLAS products with Toeplitz blocks (:func:`_gemm_window`), with an
+entrywise error bound and exact structural zeros.  The ring product
+:func:`conv` is its M x N window and is defined only for equal shapes;
+the padded, shape-growing product :func:`padded_conv` is its
+(M1+M2-1) x (N1+N2-1) window, re-exported by :mod:`juryconv.probgrid`
+for grid distributions.  Each wraps one result array as a
+:class:`ConvMatrix`.  The rational Horner chain of :func:`ring_taylor`
+and the rational back-substitution inverse run on rows of ints over one
+running denominator, with :func:`_int_window` and :func:`_int_dot`, and
+wrap their result once.  A complex Horner chain holds one factor fixed,
+so it has its own route, :func:`_gemm_chain`: X's Toeplitz blocks
+stacked once, and one matmul per block of rows per step, with the
+kernel's entrywise bound at every step.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -95,26 +100,51 @@ def _copied_array(data, scalar: str) -> np.ndarray:
     return arr.astype(np.complex128, copy=False)
 
 
+def _over_one_denominator(arr: np.ndarray) -> tuple:
+    """An object array of ``Fraction`` as (N, d): int numerators over the lcm d of its denominators.
+
+    The result is in lowest terms, gcd(d, N) = 1: for each prime p of d,
+    the entry whose denominator holds the highest power of p has a
+    numerator prime to p, and d over that denominator is prime to p.
+    """
+    flat = arr.ravel().tolist()
+    for entry in flat:
+        if not isinstance(entry, Fraction):
+            raise ScalarError(f"rational backend holds Fractions, got {entry!r}")
+    d = math.lcm(*(v.denominator for v in flat))
+    nums = np.array([v.numerator * (d // v.denominator) for v in flat], dtype=object)
+    return nums.reshape(arr.shape), d
+
+
 class ConvMatrix:
     """Immutable M x N matrix over an exact-rational or complex-float backend.
 
     Indexing is zero-based.  The storage is one read-only, C-ordered 2-D
-    array on both backends: ``complex128`` on the complex one (what
-    :meth:`to_numpy` returns), object dtype holding ``Fraction`` on the
-    rational one.  Construction validates it, by one finiteness test or
-    a type test per entry.  ``data`` is a row-major tuple of row tuples
-    of the entries (``complex`` or ``Fraction``), built on first use and
-    cached.  ``ConvMatrix(rows, cols, data, scalar)`` takes row tuples or
-    a 2-D array on either backend and copies it.
+    array on both backends.  On the complex one it is ``complex128``
+    (what :meth:`to_numpy` returns).  On the rational one it is an
+    object array N of Python ints over one denominator d > 0, in lowest
+    terms: gcd(d, every entry of N) = 1, so a zero matrix has d = 1.
+    That form is canonical, so ``==`` is array equality plus equal d.
+    Construction validates the entries, by one finiteness test or a type
+    test per entry.  Entry access builds a ``Fraction`` when read on
+    rationals, and ``data`` is a row-major tuple of row tuples of the
+    entries (``complex`` or ``Fraction``), built on first use and cached;
+    JSON and CSV go through it.  ``ConvMatrix(rows, cols, data, scalar)``
+    takes row tuples or a 2-D array of the entries on either backend and
+    copies it.
     """
 
-    __slots__ = ("rows", "cols", "scalar", "_data", "_array")
+    __slots__ = ("rows", "cols", "scalar", "_data", "_array", "_den")
 
     def __init__(self, rows: int, cols: int, data, scalar: str = RATIONAL):
-        self._adopt(rows, cols, _copied_array(data, scalar), scalar)
+        arr, den = _copied_array(data, scalar), 1
+        # A misshapen array is left to __post_init__, which names its shape.
+        if scalar == RATIONAL and arr.shape == (rows, cols):
+            arr, den = _over_one_denominator(arr)
+        self._adopt(rows, cols, arr, scalar, den)
 
-    def _adopt(self, rows: int, cols: int, arr: np.ndarray, scalar: str):
-        """Store ``arr``, which no one else holds, frozen in place, and validate."""
+    def _adopt(self, rows: int, cols: int, arr: np.ndarray, scalar: str, den: int):
+        """Store ``arr`` over ``den``, which no one else holds, frozen in place, and validate."""
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         init = object.__setattr__
@@ -123,6 +153,7 @@ class ConvMatrix:
         init(self, "scalar", scalar)
         init(self, "_data", None)
         init(self, "_array", arr)
+        init(self, "_den", den)
         self.__post_init__()
 
     def __post_init__(self):
@@ -134,17 +165,17 @@ class ConvMatrix:
         if arr.shape != (self.rows, self.cols):
             raise ShapeMismatchError(
                 f"expected {self.rows}x{self.cols} entries, got shape {arr.shape}")
-        if self.scalar == RATIONAL:
-            for entry in arr.flat:
-                if not isinstance(entry, Fraction):
-                    raise ScalarError(f"rational backend holds Fractions, got {entry!r}")
-        elif not np.isfinite(arr).all():
+        if self.scalar == COMPLEX and not np.isfinite(arr).all():
             raise ScalarError(f"non-finite entry {complex(arr[~np.isfinite(arr)][0])!r}")
 
     @property
     def data(self) -> tuple:
         if self._data is None:
-            object.__setattr__(self, "_data", tuple(map(tuple, self._array.tolist())))
+            rows = self._array.tolist()
+            if self.scalar == RATIONAL:
+                d = self._den
+                rows = [[Fraction(v, d) for v in row] for row in rows]
+            object.__setattr__(self, "_data", tuple(map(tuple, rows)))
         return self._data
 
     def __setattr__(self, name, value):
@@ -158,7 +189,7 @@ class ConvMatrix:
             return NotImplemented
         if (self.rows, self.cols, self.scalar) != (other.rows, other.cols, other.scalar):
             return False
-        return bool(np.array_equal(self._array, other._array))
+        return self._den == other._den and bool(np.array_equal(self._array, other._array))
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.data, self.scalar))
@@ -193,7 +224,7 @@ class ConvMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int, scalar: str = RATIONAL) -> "ConvMatrix":
-        return _matrix(_scaled_identity(rows, cols, numerics.zero(scalar), scalar), scalar)
+        return _scaled_identity(rows, cols, numerics.zero(scalar), scalar)
 
     @classmethod
     def from_numpy(cls, arr) -> "ConvMatrix":
@@ -210,7 +241,8 @@ class ConvMatrix:
 
     def __getitem__(self, key) -> Scalar:
         i, j = key
-        return self._array.item(i, j)
+        v = self._array.item(i, j)
+        return Fraction(v, self._den) if self.scalar == RATIONAL else v
 
     def indices(self) -> Iterator[tuple]:
         for i in range(self.rows):
@@ -221,9 +253,13 @@ class ConvMatrix:
         return [list(row) for row in self.data]
 
     def to_numpy(self, dtype=None):
-        """Entries as an array: the stored read-only one on complex, new floats on rationals."""
+        """Entries as an array: the stored read-only one on complex, new floats on rationals.
+
+        A rational entry is N[i, j] / d, int by int true division, which
+        rounds correctly: the float ``float(Fraction)`` gives.
+        """
         if self.scalar == RATIONAL:
-            return self._array.astype(float).astype(dtype or float, copy=False)
+            return (self._array / self._den).astype(dtype or float)
         return self._array if dtype is None else self._array.astype(dtype)
 
     def astype(self, scalar: str) -> "ConvMatrix":
@@ -239,6 +275,8 @@ class ConvMatrix:
     def is_zero(self, tol: float = 0.0) -> bool:
         if not tol:
             return not self._array.any()
+        if self.scalar == RATIONAL:
+            return all(abs(v) <= tol for row in self.data for v in row)
         return bool((np.abs(self._array) <= tol).all())
 
     def is_real(self, tol: float = 0.0) -> bool:
@@ -354,20 +392,37 @@ def _require_same_backend(a: ConvMatrix, b: ConvMatrix):
         raise BackendMismatchError(f"backend mismatch: {a.scalar} vs {b.scalar}")
 
 
-def _matrix(arr: np.ndarray, scalar: str) -> ConvMatrix:
-    """A matrix over ``arr``, an array just built here: frozen in place, not copied."""
+def _matrix(arr: np.ndarray, scalar: str, den: int = 1) -> ConvMatrix:
+    """A matrix over ``arr``, an array just built here: frozen in place, not copied.
+
+    On rationals ``arr`` holds ints over ``den`` > 0; one content-gcd
+    pass brings them to lowest terms, in place.
+    """
+    if scalar == RATIONAL:
+        g = math.gcd(den, *arr.flat)
+        if g != 1:
+            arr //= g
+            den //= g
     m = ConvMatrix.__new__(ConvMatrix)
-    m._adopt(*arr.shape, arr, scalar)
+    m._adopt(*arr.shape, arr, scalar, den)
     return m
 
 
-def _scaled_identity(rows: int, cols: int, c, scalar: str) -> np.ndarray:
-    """c I as a fresh array: c * 0 off the origin and c * 1 at it, as ``scale`` gives."""
-    dtype = np.complex128 if scalar == COMPLEX else object
-    zero, unit = np.array([numerics.zero(scalar), numerics.one(scalar)], dtype=dtype) * c
-    arr = np.full((rows, cols), zero, dtype=dtype)
-    arr[:1, :1] = unit
+def _complex_identity(rows: int, cols: int, c: complex) -> np.ndarray:
+    """c I as a fresh complex array: c * 0 off the origin and c * 1 at it, as ``scale`` gives."""
+    zero, unit = np.array([0j, 1 + 0j]) * c
+    arr = np.full((rows, cols), zero)
+    arr[0, 0] = unit
     return arr
+
+
+def _scaled_identity(rows: int, cols: int, c, scalar: str) -> ConvMatrix:
+    """c I for a scalar c of the backend."""
+    if scalar == COMPLEX:
+        return _matrix(_complex_identity(rows, cols, c), COMPLEX)
+    n = np.zeros((rows, cols), dtype=object)
+    n[0, 0] = c.numerator
+    return _matrix(n, RATIONAL, c.denominator)
 
 
 def antidiagonal_indices(rows: int, cols: int) -> Iterator[tuple]:
@@ -381,28 +436,22 @@ def antidiagonal_indices(rows: int, cols: int) -> Iterator[tuple]:
 # ring operations
 # ----------------------------------------------------------------------
 
-def _conv_window(a: np.ndarray, b: np.ndarray, rows: int, cols: int,
-                 top: Optional[int] = None) -> np.ndarray:
+def _conv_window(a: np.ndarray, b: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Top-left rows x cols window of the full 2-D convolution of arrays a and b.
 
     Entry (i, j) gathers a[l, k] b[i-l, j-k] over every (l, k) with both
     factors inside their arrays: storage arrays of one backend.  The
-    result is a fresh, writeable array of their dtype.
+    result is a fresh, writeable array of their dtype.  Its callers are
+    :func:`conv` and :func:`padded_conv`.
 
-    On the rational backend (object arrays of ``Fraction``) the operands
-    first go over common denominators
-    (:func:`juryconv.numerics.integer_operands`): the loop multiplies and
-    adds Python ints, l and then k ascending, which is exact, and
-    :func:`juryconv.numerics.fraction_array` turns each integer sum into
-    one ``Fraction(sum, da*db)`` with a single gcd, equal to the Fraction
-    sum.  Only anti-diagonals i+j <= ``top`` (default: all) are summed;
-    the rest stay zero, for :func:`ring_taylor`'s cap.  Its callers are
-    :func:`conv`, :func:`padded_conv` and rational Horner chains.
+    On the rational backend the operands are numerator arrays, and the
+    window is :func:`_int_window` of their rows: integer sums, exact in
+    any order, which the caller puts over d_a d_b and brings to lowest
+    terms in one content-gcd pass (:func:`_matrix`).
 
     On the complex backend (``complex128``) one route serves every
-    shape, :func:`_gemm_window`, and ``top`` is ignored (no complex
-    caller passes it; complex chains run :func:`_gemm_chain`, which
-    sums the same products per entry).  Each entry sums the
+    shape, :func:`_gemm_window` (complex chains run :func:`_gemm_chain`,
+    which sums the same products per entry).  Each entry sums the
     k <= M*N products a[l, k] b[i-l, j-k] of the definition, in BLAS's
     order, plus products with an exact zero, which add nothing.  Hence:
 
@@ -425,22 +474,34 @@ def _conv_window(a: np.ndarray, b: np.ndarray, rows: int, cols: int,
     """
     if a.dtype != object:
         return _gemm_window(a, b, rows, cols)
-    (arows, acols), (brows, bcols) = a.shape, b.shape
-    ad, bd, d = numerics.integer_operands(a, b)
+    return np.array(_int_window(a.tolist(), b.tolist(), rows, cols), dtype=object)
+
+
+def _int_window(a: list, b: list, rows: int, cols: int, top: Optional[int] = None) -> list:
+    """The window of :func:`_conv_window` on rows of Python ints, as rows of ints.
+
+    Only anti-diagonals i+j <= ``top`` (default: all) are summed; the
+    rest stay zero, for :func:`ring_taylor`'s cap.  Its callers are
+    :func:`_conv_window` and rational Horner chains.
+    """
+    arows, acols, brows, bcols = len(a), len(a[0]), len(b), len(b[0])
     col_ranges = [range(max(0, j - bcols + 1), min(j, acols - 1) + 1) for j in range(cols)]
-    sums = []
+    out = []
     for i in range(rows):
-        row_pairs = [(ad[l], bd[i - l])
-                     for l in range(max(0, i - brows + 1), min(i, arows - 1) + 1)]
-        row = []
-        for j, ks in enumerate(col_ranges if top is None else col_ranges[:max(0, top - i + 1)]):
-            acc = 0
-            for arow, brow in row_pairs:
-                for k in ks:
-                    acc += arow[k] * brow[j - k]
-            row.append(acc)
-        sums.append(row if len(row) == cols else row + [0] * (cols - len(row)))
-    return numerics.fraction_array(sums, d)
+        pairs = [(a[l], b[i - l]) for l in range(max(0, i - brows + 1), min(i, arows - 1) + 1)]
+        ks = col_ranges if top is None else col_ranges[:max(0, top - i + 1)]
+        row = [_int_dot(pairs, k, j) for j, k in enumerate(ks)]
+        out.append(row + [0] * (cols - len(row)))
+    return out
+
+
+def _int_dot(pairs: list, ks: range, j: int) -> int:
+    """sum over (arow, brow) in pairs and k in ks of arow[k] * brow[j-k]: one entry's sum."""
+    acc = 0
+    for arow, brow in pairs:
+        for k in ks:
+            acc += arow[k] * brow[j - k]
+    return acc
 
 
 def _toeplitz_rows(a: np.ndarray, nb: int, cols: int):
@@ -519,7 +580,7 @@ def conv(a: ConvMatrix, b: ConvMatrix) -> ConvMatrix:
     """Truncated 2-D convolution of two same-shape matrices."""
     _require_same_shape(a, b)
     _require_same_backend(a, b)
-    return _matrix(_conv_window(a._array, b._array, a.rows, a.cols), a.scalar)
+    return _matrix(_conv_window(a._array, b._array, a.rows, a.cols), a.scalar, a._den * b._den)
 
 
 def padded_conv(a: ConvMatrix, b: ConvMatrix) -> ConvMatrix:
@@ -530,29 +591,35 @@ def padded_conv(a: ConvMatrix, b: ConvMatrix) -> ConvMatrix:
     """
     _require_same_backend(a, b)
     return _matrix(_conv_window(a._array, b._array, a.rows + b.rows - 1, a.cols + b.cols - 1),
-                   a.scalar)
+                   a.scalar, a._den * b._den)
 
 
 def conv_identity(rows: int, cols: int, scalar: str = RATIONAL) -> ConvMatrix:
     """The multiplicative identity: 1 at (0, 0), 0 elsewhere."""
-    return _matrix(_scaled_identity(rows, cols, numerics.one(scalar), scalar), scalar)
+    return _scaled_identity(rows, cols, numerics.one(scalar), scalar)
 
 
 def add(a: ConvMatrix, b: ConvMatrix) -> ConvMatrix:
+    """Entrywise sum; rationals over the lcm of the two denominators."""
     _require_same_shape(a, b)
     _require_same_backend(a, b)
+    if a.scalar == RATIONAL:
+        d = math.lcm(a._den, b._den)
+        return _matrix(a._array * (d // a._den) + b._array * (d // b._den), RATIONAL, d)
     with np.errstate(over="ignore", invalid="ignore"):
         return _matrix(a._array + b._array, a.scalar)
 
 
 def scale(alpha, a: ConvMatrix) -> ConvMatrix:
     c = numerics.coerce(alpha, a.scalar)
+    if a.scalar == RATIONAL:
+        return _matrix(a._array * c.numerator, RATIONAL, a._den * c.denominator)
     with np.errstate(over="ignore", invalid="ignore"):
         return _matrix(c * a._array, a.scalar)
 
 
 def transpose(a: ConvMatrix) -> ConvMatrix:
-    return _matrix(a._array.T.copy(), a.scalar)
+    return _matrix(a._array.T.copy(), a.scalar, a._den)
 
 
 def conv_power_naive(a: ConvMatrix, kappa: int) -> ConvMatrix:
@@ -598,16 +665,19 @@ def _check_invertible(a: ConvMatrix):
 def conv_inverse_recursive(a: ConvMatrix) -> ConvMatrix:
     """Multiplicative inverse by back-substitution along anti-diagonals.
 
-    B starts as a00^(-1) I, one array, and is solved in place: in
-    anti-diagonal order every b[l, k] with l <= i, k <= j and
+    In anti-diagonal order every b[l, k] with l <= i, k <= j and
     (l, k) != (i, j) is fixed before b[i, j], so the defining relation
     (A <> B)[i, j] = 0 for (i, j) != (0, 0) gives
 
         b[i, j] = -a00^(-1) sum_{l<=i, k<=j} a[l, k] b[i-l, j-k],
 
     one dot product of A's top-left (i+1) x (j+1) block with B's block
-    reversed on both axes.  It is exact on rationals.  On floats, with
-    B the computed inverse and k = (i+1)(j+1),
+    reversed on both axes (b[i, j] is still zero there, so the term
+    a00 b[i, j] adds an exact zero).
+
+    On rationals it runs on A's numerators, :func:`_int_inverse`: exact.
+    On floats B starts as a00^(-1) I, one array solved in place.  With B
+    the computed inverse and k = (i+1)(j+1),
 
         |A <> B - I| <= gamma_(k+7) (|A| <> |B|)   entrywise
 
@@ -621,13 +691,57 @@ def conv_inverse_recursive(a: ConvMatrix) -> ConvMatrix:
     gamma_(k+2).
     """
     _check_invertible(a)
+    if a.scalar == RATIONAL:
+        rows, den = _int_inverse(a._array.tolist(), a._den)
+        return _matrix(np.array(rows, dtype=object), RATIONAL, den)
     inv00 = 1 / a[0, 0]
-    b = _scaled_identity(a.rows, a.cols, inv00, a.scalar)
+    b = _complex_identity(a.rows, a.cols, inv00)
     for (i, j) in antidiagonal_indices(a.rows, a.cols):
         if (i, j) != (0, 0):
-            # b[i, j] is still zero here, so the term a00 b[i, j] adds an exact zero.
             b[i, j] = -inv00 * (a._array[:i + 1, :j + 1] * b[i::-1, j::-1]).ravel().sum()
-    return _matrix(b, a.scalar)
+    return _matrix(b, COMPLEX)
+
+
+def _int_inverse(na: list, da: int) -> tuple:
+    """(rows, den): A^(-1) as ints over one running denominator, for A = na / da.
+
+    With n00 = na[0][0] the relation reads b[i, j] = -(1 / n00) sum
+    na[l][k] b[i-l][j-k]: da cancels but in b[0, 0] = da / n00.  B is
+    held as ints over den > 0, in lowest terms.  An anti-diagonal's sums
+    t (:func:`_int_dot`) lie over n00 den, so the solved entries are
+    rescaled by |n00| and the new ones are -sign(n00) t.  As the solved
+    entries and den have no common factor, the content of that array is
+    g = gcd(|n00|, t): one gcd over the anti-diagonal, not the array,
+    then the solved entries are rescaled by |n00| / g only and the new
+    ones divided by g.
+    """
+    rows, cols = len(na), len(na[0])
+    n00 = na[0][0]
+    mag, sign = abs(n00), (1 if n00 > 0 else -1)
+    g = math.gcd(da, mag)
+    nb = [[0] * cols for _ in range(rows)]
+    nb[0][0], den = sign * da // g, mag // g
+    for s in range(1, rows + cols - 1):
+        cells = range(max(0, s - cols + 1), min(rows - 1, s) + 1)
+        sums = [_int_dot([(na[l], nb[i - l]) for l in range(i + 1)], range(s - i + 1), s - i)
+                for i in cells]
+        g = math.gcd(mag, *sums)
+        if g != mag:
+            f = mag // g
+            for i in range(min(s, rows)):
+                nb[i] = [v * f for v in nb[i]]
+            den *= f
+        for i, t in zip(cells, sums):
+            nb[i][s - i] = -sign * t // g
+    return nb, den
+
+
+def _lowest_rows(rows: list, den: int) -> tuple:
+    """Rows of ints over den > 0, with their content gcd divided out."""
+    g = math.gcd(den, *itertools.chain.from_iterable(rows))
+    if g == 1:
+        return rows, den
+    return [[v // g for v in row] for row in rows], den // g
 
 
 def conv_inverse_ch(a: ConvMatrix) -> ConvMatrix:
@@ -654,8 +768,8 @@ def nilpotent_part(a: ConvMatrix) -> ConvMatrix:
     factors sums l indices of the punctured grid.
     """
     arr = a._array.copy()
-    arr[0, 0] = numerics.zero(a.scalar)
-    return _matrix(arr, a.scalar)
+    arr[0, 0] = 0
+    return _matrix(arr, a.scalar, a._den)
 
 
 def ring_taylor(coeffs: Iterable, x: ConvMatrix) -> ConvMatrix:
@@ -665,7 +779,7 @@ def ring_taylor(coeffs: Iterable, x: ConvMatrix) -> ConvMatrix:
     nilpotent part G, whose powers vanish from order M+N-1, callers pass
     M+N-1 coefficients.  Coefficients are coerced to X's backend: on the
     rational backend they must be exact (ints, Fractions or "p/q" strings).
-    The steps run on arrays; only the result becomes a
+    The steps run on arrays or rows; only the result becomes a
     :class:`ConvMatrix`, whose validation reports a float overflow
     anywhere in the chain.  One coefficient is no step: c I.
 
@@ -682,25 +796,35 @@ def ring_taylor(coeffs: Iterable, x: ConvMatrix) -> ConvMatrix:
     Structural zeros are exact: at G, coefficients that vanish below
     order M+N-1 give the zero matrix exactly.
 
-    On the rational backend each step is one :func:`_conv_window` call
-    and one add at the origin.  At a zero origin step l sums only
-    anti-diagonals i+j <= M+N-2-l, all R_0 needs: (R <> X)[i, j] reads R
-    on lower anti-diagonals, save the zero product R[i, j] X[0, 0].
-    Skipped entries stay zero; as sums start at 0 the result is the
+    On the rational backend X's numerators Nx over dx are read once, and
+    R is held as rows of ints over a running denominator D.  A step is
+    one :func:`_int_window` of R and Nx, over D dx; the add of
+    c_l = p / q at the origin, over lcm(D dx, q); and one content-gcd
+    pass.  At a zero origin step l sums only anti-diagonals
+    i+j <= M+N-2-l, all R_0 needs: (R <> X)[i, j] reads R on lower
+    anti-diagonals, save the zero product R[i, j] X[0, 0].  Skipped
+    entries stay zero, and the result, exact and in lowest terms, is the
     uncapped loop's.  The cap is rational-only; complex steps are full.
     """
     cs = [numerics.coerce(c, x.scalar) for c in coeffs]
-    if not cs:
-        return ConvMatrix.zeros(x.rows, x.cols, x.scalar)
-    if x.scalar == COMPLEX and len(cs) > 1:
+    if len(cs) < 2:
+        return _scaled_identity(x.rows, x.cols, cs[0] if cs else numerics.zero(x.scalar), x.scalar)
+    if x.scalar == COMPLEX:
         return _matrix(_gemm_chain(cs, x._array).copy(), COMPLEX)
-    full, nilpotent = x.rows + x.cols - 2, x[0, 0] == 0
-    result = _scaled_identity(x.rows, x.cols, cs[-1], x.scalar)
+    nx, dx = x._array.tolist(), x._den
+    full, nilpotent = x.rows + x.cols - 2, nx[0][0] == 0
+    r = [[0] * x.cols for _ in range(x.rows)]
+    r[0][0], den = cs[-1].numerator, cs[-1].denominator
     for l in range(len(cs) - 2, -1, -1):
-        result = _conv_window(result, x._array, x.rows, x.cols,
-                              full - l if nilpotent else None)
-        result[0, 0] += cs[l]
-    return _matrix(result, x.scalar)
+        r = _int_window(r, nx, x.rows, x.cols, full - l if nilpotent else None)
+        c, den = cs[l], den * dx
+        common = math.lcm(den, c.denominator)
+        if common != den:
+            r = [[v * (common // den) for v in row] for row in r]
+            den = common
+        r[0][0] += c.numerator * (den // c.denominator)
+        r, den = _lowest_rows(r, den)
+    return _matrix(np.array(r, dtype=object), RATIONAL, den)
 
 
 def matrices_close(a: ConvMatrix, b: ConvMatrix, tol: float = 1e-12) -> bool:

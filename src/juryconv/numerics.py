@@ -7,24 +7,14 @@ operations, partition sums, transforms -- funnels its coefficient
 arithmetic through the helpers here, so exactness is never lost by
 accident on the rational side and non-finite floats never enter a
 matrix on the complex side.
-
-:func:`integer_operands` and :func:`fraction_array` are the array
-boundary of the rational convolution kernel.  The first scales each
-operand, an object array of ``Fraction``, once to integer rows over the
-lcm of its denominators, so the kernel's multiply-adds run on Python
-ints; the second turns the integer sums into one object array with a
-single ``Fraction`` (one gcd) per entry.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 from typing import Mapping, Union
-
-import numpy as np
 
 RATIONAL = "rational"
 COMPLEX = "complex"
@@ -160,37 +150,6 @@ def scalar_from_json(payload, backend: str) -> Scalar:
             return _check_finite_complex(complex(float(payload)))
         raise ScalarError(f"complex JSON entry must be number or [re, im], got {payload!r}")
     raise ScalarError(f"unknown scalar backend {backend!r}")
-
-
-def integer_operands(a, b):
-    """Two Fraction arrays as integer rows for an exact multiply-add loop.
-
-    Returns ``(a_ints, b_ints, d)``.  Each operand is scaled to integer
-    numerators over the lcm of its own denominators, da and db, and
-    ``d = da*db``: a sum of products of those integers is the true sum
-    times d, exactly, whatever the summation order, so
-    :func:`fraction_array` reads it back.
-    """
-    a_ints, da = _over_common_denominator(a)
-    b_ints, db = _over_common_denominator(b)
-    return a_ints, b_ints, da * db
-
-
-def _over_common_denominator(arr):
-    rows = arr.tolist()
-    d = math.lcm(*(v.denominator for row in rows for v in row))
-    return [[v.numerator * (d // v.denominator) for v in row] for row in rows], d
-
-
-def fraction_array(sums, d: int) -> np.ndarray:
-    """Rows of integer sums over ``d`` as one object array of ``Fraction(s, d)``.
-
-    Each entry is the same canonical Fraction that summing the Fractions
-    gives; the array is built in one pass, without nested-row parsing.
-    """
-    rows, cols = len(sums), len(sums[0])
-    flat = map(Fraction, itertools.chain.from_iterable(sums), itertools.repeat(d))
-    return np.fromiter(flat, dtype=object, count=rows * cols).reshape(rows, cols)
 
 
 def close(a, b, tol: float = 1e-12) -> bool:

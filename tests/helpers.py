@@ -147,6 +147,25 @@ def assert_chain_bound(chain, coeffs, x: ConvMatrix):
         later = step
 
 
+def inverse_reference(a: ConvMatrix) -> ConvMatrix:
+    """A^(-1) by back-substitution on ``Fraction``s, one entry at a time in anti-diagonal order.
+
+    The defining recursion b[i, j] = -a00^(-1) sum a[l, k] b[i-l, j-k]
+    over (l, k) != (0, 0), summed term by term from ``a.data``:
+    independent of the library's integer routes.
+    """
+    ad = a.data
+    inv00 = 1 / ad[0][0]
+    b = [[Fraction(0)] * a.cols for _ in range(a.rows)]
+    b[0][0] = inv00
+    for s in range(1, a.rows + a.cols - 1):
+        for i in range(max(0, s - a.cols + 1), min(a.rows - 1, s) + 1):
+            j = s - i
+            b[i][j] = -inv00 * sum(ad[l][k] * b[i - l][j - k]
+                                   for l in range(i + 1) for k in range(j + 1) if l or k)
+    return ConvMatrix.rational(b)
+
+
 def first_primes(count: int) -> list:
     """The first ``count`` primes, by trial division against the smaller ones."""
     found = []

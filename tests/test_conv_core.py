@@ -1,5 +1,6 @@
 """Ring structure tests for the truncated convolution product."""
 
+import math
 import pickle
 import random
 import tracemalloc
@@ -38,6 +39,7 @@ from helpers import (
     coprime_matrix,
     gamma,
     huge_fraction,
+    inverse_reference,
     numpy_full_conv,
     rand_fraction,
     rand_invertible_matrix,
@@ -469,6 +471,174 @@ class TestRingTaylor:
             for x in (big, nilpotent_part(big)):
                 with pytest.raises(ScalarError):
                     ring_taylor([1.0, 1.0, 1.0], x)
+
+
+def _storage(m):
+    """A rational matrix's storage: its numerators, as nested lists of ints, and its denominator."""
+    return m._array.tolist(), m._den
+
+
+def _assert_canonical(m):
+    """Lowest terms over one denominator d > 0; the zero matrix has d = 1."""
+    nums, d = _storage(m)
+    flat = [v for row in nums for v in row]
+    assert all(type(v) is int for v in flat) and type(d) is int
+    assert d > 0 and math.gcd(d, *flat) == 1
+    assert d == 1 or any(flat)
+
+
+def _invertible(a):
+    """``a`` with a nonzero origin: ``a`` itself, or a + I where a00 = 0."""
+    return a if a[0, 0] != 0 else a + conv_identity(a.rows, a.cols)
+
+
+class TestRationalStorage:
+    """Integer numerators over one denominator, in lowest terms: a canonical form."""
+
+    def test_rows_over_one_denominator(self):
+        a = ConvMatrix.rational([[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(-5, 6)]])
+        b = ConvMatrix.rational([[Fraction(7, 4)]])
+        assert _storage(a) == ([[3, 2], [0, -5]], 6)  # over lcm(2, 3, 1, 6)
+        assert _storage(b) == ([[7]], 4)
+        # The integer sums lie over 6 * 4; their content is 1, so they stay there.
+        out = conv_core.padded_conv(a, b)
+        assert _storage(out) == ([[21, 14], [0, -35]], 24)
+        assert out.data == ((Fraction(7, 8), Fraction(7, 12)), (Fraction(0), Fraction(-35, 24)))
+        assert all(type(v) is Fraction for row in out.data for v in row)
+        assert type(out[1, 1]) is Fraction and out[1, 1] == Fraction(-35, 24)
+
+    def test_content_divided_out(self):
+        # [[1/2, 1/2]] <> [[2, 4]] = [[1, 3]]: sums [[2, 6]] over 2, content 2.
+        a, b = ConvMatrix.rational([["1/2", "1/2"]]), ConvMatrix.rational([[2, 4]])
+        assert _storage(conv(a, b)) == ([[1, 3]], 1)
+        assert _storage(add(a, a)) == ([[1, 1]], 1)
+        assert _storage(scale(Fraction(4, 3), a)) == ([[2, 2]], 3)
+
+    def test_spellings_agree(self):
+        half = ConvMatrix.rational([[Fraction(1, 2), 0], [0, 0]])
+        ones = ConvMatrix.rational([[1, 0], [0, 0]])
+        quarter = ConvMatrix.rational([["1/4", 0], [0, 0]])
+        spellings = [
+            ConvMatrix.rational([["2/4", 0], [0, "0/3"]]),
+            ConvMatrix.rational([[Fraction(3, 6), Fraction(0, 5)], [0, 0]]),
+            scale(Fraction(1, 2), ones),
+            scale("1/2", ones),
+            add(quarter, quarter),
+            conv(quarter, scale(2, ones)),
+            conv_inverse_recursive(scale(2, ones)),
+            conv_inverse_ch(scale(2, ones)),
+            ring_taylor([Fraction(1, 2)], ones),
+            pickle.loads(pickle.dumps(half)),
+            ConvMatrix.from_json(half.to_json()),
+        ]
+        for m in spellings:
+            assert m == half and hash(m) == hash(half) and repr(m) == repr(half)
+            assert _storage(m) == ([[1, 0], [0, 0]], 2)
+
+    def test_nilpotent_part_drops_the_origin_denominator(self):
+        # 1/6 alone carries the 6: without it the content is the whole denominator.
+        g = nilpotent_part(ConvMatrix.rational([[Fraction(1, 6), 1], [1, 1]]))
+        assert _storage(g) == ([[0, 1], [1, 1]], 1)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (4, 4)])
+    def test_zero_results_over_one(self, shape):
+        a = rand_invertible_matrix(random.Random(sum(shape)), *shape)
+        for z in (ConvMatrix.zeros(*shape), scale(0, a), a - a, add(a, -a),
+                  conv(a, ConvMatrix.zeros(*shape)), ring_taylor([], a),
+                  ring_taylor([0] * sum(shape) + [5], nilpotent_part(a))):
+            assert _storage(z) == ([[0] * shape[1]] * shape[0], 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(1, 1), (1, 5), (5, 1), (3, 3), (4, 2)]), st.booleans(), st.data())
+    def test_every_result_in_lowest_terms(self, shape, negative, data):
+        # A negative a00 makes the running denominators of both integer routes change sign.
+        a = _invertible(data.draw(with_zero_rows(matrix_strategy(*shape))))
+        if (a[0, 0] < 0) != negative:
+            a = -a
+        b = data.draw(matrix_strategy(*shape))
+        cs = data.draw(st.lists(small_fraction, min_size=1, max_size=sum(shape) + 1))
+        results = [a, b, conv(a, b), add(a, b), scale(data.draw(small_fraction), a),
+                   transpose(a), nilpotent_part(a), conv_inverse_recursive(a),
+                   conv_inverse_ch(a), ring_taylor(cs, a), ring_taylor(cs, nilpotent_part(a)),
+                   conv_core.padded_conv(a, b), conv_power_squaring(a, 3)]
+        for m in results:
+            _assert_canonical(m)
+
+
+class TestExactOracles:
+    """The integer routes against independent Fraction loops, exactly (==)."""
+
+    @staticmethod
+    def _assert_routes(a, cs):
+        want = inverse_reference(a)
+        assert conv_inverse_recursive(a) == want
+        assert conv_inverse_ch(a) == want
+        for x in (nilpotent_part(a), a):
+            assert ring_taylor(cs, x) == _horner_reference(cs, x)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_coprime_denominators(self, n):
+        rng = random.Random(n + 97)
+        a = coprime_matrix(rng, n, n)
+        self._assert_routes(a, [rand_fraction(rng) for _ in range(2 * n - 1)])
+
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (1, 24), (24, 1)])
+    def test_thin_shapes(self, shape):
+        rng = random.Random(shape[0] * 31 + shape[1])
+        a = rand_invertible_matrix(rng, *shape)
+        self._assert_routes(a, [rand_fraction(rng) for _ in range(sum(shape) - 1)])
+        self._assert_routes(-a, [rand_fraction(rng) for _ in range(3)])
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([(1, 1), (3, 3), (1, 6), (6, 1), (4, 3)]), st.data())
+    def test_coprime_strategy(self, shape, data):
+        a = _invertible(data.draw(coprime_matrices(shape)))
+        self._assert_routes(a, data.draw(st.lists(small_fraction, min_size=0, max_size=sum(shape))))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(2, 2), (4, 3), (1, 6), (6, 1)]), st.data())
+    def test_zero_rows_strategy(self, shape, data):
+        a = _invertible(data.draw(with_zero_rows(rational_matrices(shape, huge_fraction))))
+        self._assert_routes(a, data.draw(st.lists(small_fraction, min_size=0, max_size=sum(shape))))
+
+
+class TestRationalFloatReads:
+    """to_numpy on rationals: N[i, j] / d, correctly rounded, the bits float(Fraction) gives."""
+
+    @staticmethod
+    def _assert_reads(m):
+        got = m.to_numpy()
+        want = np.array([[float(v) for v in row] for row in m.data])
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros included
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(st.integers(1, 4), st.integers(1, 4)), st.data())
+    def test_huge_entries(self, shape, data):
+        self._assert_reads(data.draw(rational_matrices(shape, huge_fraction)))
+
+    def test_huge_numerators_over_a_huge_denominator(self):
+        # Six 151-digit denominators, so the common one has over 1000 bits;
+        # entries range from about 1e-300 to near the top of float range.
+        rng = random.Random(101)
+        dens = [rng.randrange(10 ** 150, 10 ** 151) for _ in range(6)]
+        nums = [rng.randrange(-10 ** 450, 10 ** 450) >> rng.randrange(0, 2500) for _ in range(6)]
+        m = ConvMatrix.rational([[Fraction(p, q) for p, q in zip(nums[:3], dens[:3])],
+                                 [Fraction(p, q) for p, q in zip(nums[3:], dens[3:])]])
+        assert m._den.bit_length() > 1000
+        self._assert_reads(m)
+        tiny = ConvMatrix.rational([[Fraction(1, 3 ** 670), Fraction(-1, 7 ** 400), 0]])
+        self._assert_reads(tiny)
+        got = tiny.to_numpy()
+        assert 0 < got[0, 0] < 2.3e-308  # subnormal, not flushed to zero
+        assert got[0, 1] == 0 and np.signbit(got[0, 1])  # underflows to -0.0
+
+    def test_beyond_float_range_raises_as_float_does(self):
+        big = Fraction(10 ** 400, 3)
+        with pytest.raises(OverflowError):
+            float(big)
+        with pytest.raises(OverflowError):
+            ConvMatrix.rational([[1, big]]).to_numpy()
 
 
 class TestComplexChain:

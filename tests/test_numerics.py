@@ -3,7 +3,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,9 +14,7 @@ from juryconv.numerics import (
     binomial,
     close,
     coerce,
-    fraction_array,
     generalized_binomial,
-    integer_operands,
     multiset_weight,
     scalar_from_json,
     scalar_to_json,
@@ -162,18 +159,3 @@ class TestFactorial:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             numerics.factorial(-1)
-
-
-class TestIntegerOperands:
-    def test_rational_rows_over_common_denominators(self):
-        a = np.array([[Fraction(1, 2), Fraction(1, 3)], [Fraction(0), Fraction(-5, 6)]],
-                     dtype=object)
-        b = np.array([[Fraction(7, 4)]], dtype=object)
-        an, bn, d = integer_operands(a, b)
-        assert an == [[3, 2], [0, -5]]  # over lcm(2, 3, 1, 6) = 6
-        assert bn == [[7]]  # over 4
-        assert d == 6 * 4
-        out = fraction_array([[3 * 7, 12], [0, -48]], d)
-        assert out.dtype == object and out.shape == (2, 2)
-        assert out.tolist() == [[Fraction(7, 8), Fraction(1, 2)], [Fraction(0), Fraction(-2)]]
-        assert all(type(v) is Fraction for v in out.flat)
