@@ -10,7 +10,7 @@ comparison through rank matrices, and probability of sums of
 grid-valued random variables via padded convolution.
 """
 
-from .numerics import COMPLEX, RATIONAL, binomial, generalized_binomial, multiset_weight
+from .numerics import COMPLEX, RATIONAL, binomial, multiset_weight
 from .conv_core import (
     BackendMismatchError,
     ConvMatrix,
@@ -134,7 +134,6 @@ __all__ = [
     "factorial_frame",
     "forward_difference",
     "fractional_power_study",
-    "generalized_binomial",
     "horn_witness",
     "is_psd",
     "jury_closure_test",

@@ -8,14 +8,16 @@ two-dimensional convolution
 
 The multiplicative identity has a single 1 at (0, 0).  A matrix is
 invertible exactly when its (0, 0) entry is nonzero; both inverse
-constructions (back-substitution along anti-diagonals, and the closed
-form derived from the degree-(M+N-1) annihilating polynomial) live
-here.  So does :func:`ring_taylor`, Horner for sum_l c_l X^(<>l) at any
-X, the library's one polynomial evaluator: at G = A - a00 I (where, on
+constructions (back-substitution, and the closed form derived from the
+degree-(M+N-1) annihilating polynomial) live here, and so does
+:func:`ring_taylor`, Horner for sum_l c_l X^(<>l) at any X, the
+library's one polynomial evaluator: at G = A - a00 I (where, on
 rationals, its steps skip the anti-diagonals no later step reads) for
 the closed-form inverse, the functional calculus and power series, at A
 for the polynomial action, the annihilator check and the padded action
-of :mod:`juryconv.probgrid`.
+of :mod:`juryconv.probgrid`.  The float back-substitution is the
+alpha = -1 case of :func:`_power_solve`, Miller's recurrence for
+A^alpha, which also runs the power transforms of :mod:`juryconv.transforms`.
 
 Both backends store a matrix as one read-only 2-D array, so entrywise
 operations are single array operations on either: ``complex128`` on the
@@ -53,6 +55,7 @@ import io
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -408,28 +411,16 @@ def _matrix(arr: np.ndarray, scalar: str, den: int = 1) -> ConvMatrix:
     return m
 
 
-def _complex_identity(rows: int, cols: int, c: complex) -> np.ndarray:
-    """c I as a fresh complex array: c * 0 off the origin and c * 1 at it, as ``scale`` gives."""
-    zero, unit = np.array([0j, 1 + 0j]) * c
-    arr = np.full((rows, cols), zero)
-    arr[0, 0] = unit
-    return arr
-
-
 def _scaled_identity(rows: int, cols: int, c, scalar: str) -> ConvMatrix:
-    """c I for a scalar c of the backend."""
+    """c I for a scalar c of the backend: on complex, c * 0 off the origin, as ``scale`` gives."""
     if scalar == COMPLEX:
-        return _matrix(_complex_identity(rows, cols, c), COMPLEX)
+        zero, unit = np.array([0j, 1 + 0j]) * c
+        arr = np.full((rows, cols), zero)
+        arr[0, 0] = unit
+        return _matrix(arr, COMPLEX)
     n = np.zeros((rows, cols), dtype=object)
     n[0, 0] = c.numerator
     return _matrix(n, RATIONAL, c.denominator)
-
-
-def antidiagonal_indices(rows: int, cols: int) -> Iterator[tuple]:
-    """Grid indices ordered by anti-diagonal (i+j ascending, then i)."""
-    for s in range(rows + cols - 1):
-        for i in range(max(0, s - cols + 1), min(rows - 1, s) + 1):
-            yield (i, s - i)
 
 
 # ----------------------------------------------------------------------
@@ -663,43 +654,70 @@ def _check_invertible(a: ConvMatrix):
 
 
 def conv_inverse_recursive(a: ConvMatrix) -> ConvMatrix:
-    """Multiplicative inverse by back-substitution along anti-diagonals.
+    """Multiplicative inverse by back-substitution: (A <> B)[i, j] = 0 off the origin.
 
-    In anti-diagonal order every b[l, k] with l <= i, k <= j and
-    (l, k) != (i, j) is fixed before b[i, j], so the defining relation
-    (A <> B)[i, j] = 0 for (i, j) != (0, 0) gives
-
-        b[i, j] = -a00^(-1) sum_{l<=i, k<=j} a[l, k] b[i-l, j-k],
-
-    one dot product of A's top-left (i+1) x (j+1) block with B's block
-    reversed on both axes (b[i, j] is still zero there, so the term
-    a00 b[i, j] adds an exact zero).
-
-    On rationals it runs on A's numerators, :func:`_int_inverse`: exact.
-    On floats B starts as a00^(-1) I, one array solved in place.  With B
-    the computed inverse and k = (i+1)(j+1),
-
-        |A <> B - I| <= gamma_(k+7) (|A| <> |B|)   entrywise
-
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    3.1, 3.3, 3.6 and 8.1).  The complex products (each within
-    sqrt(2) gamma_2 <= gamma_3) and their sum of k terms err by
-    gamma_(k+2) relative to the terms with (l, k) != (0, 0); 1 / a00
-    (Smith's division, gamma_5) and the product with the sum (gamma_3)
-    err by gamma_9 relative to |a00 b[i, j]|; max(k+2, 9) <= k+7 for
-    k >= 2, and b[0, 0] is within gamma_6.  The tests hold it to
-    gamma_(k+2).
+    Entry (i, j) solves b[i, j] = -a00^(-1) sum a[l, k] b[i-l, j-k] over
+    (l, k) != (0, 0), terms fixed before it.  On rationals it runs on A's
+    numerators, :func:`_int_inverse`: exact.  On floats it is
+    :func:`_power_solve` at alpha = -1, whose bound reads, with
+    k = (i+1)(j+1), |A <> B - I| <= gamma_(k+7) (|A| <> |B|) entrywise;
+    the tests hold it to gamma_(k+2).
     """
     _check_invertible(a)
     if a.scalar == RATIONAL:
         rows, den = _int_inverse(a._array.tolist(), a._den)
         return _matrix(np.array(rows, dtype=object), RATIONAL, den)
-    inv00 = 1 / a[0, 0]
-    b = _complex_identity(a.rows, a.cols, inv00)
-    for (i, j) in antidiagonal_indices(a.rows, a.cols):
-        if (i, j) != (0, 0):
-            b[i, j] = -inv00 * (a._array[:i + 1, :j + 1] * b[i::-1, j::-1]).ravel().sum()
-    return _matrix(b, COMPLEX)
+    return _power_solve(a, -1.0, 1 / a[0, 0])
+
+
+def _power_solve(a: ConvMatrix, alpha: float, b00: complex) -> ConvMatrix:
+    """A^alpha on the complex backend, from b00 = a00^alpha: Miller's power recurrence.
+
+    D(X)[i, j] = i X[i, j] is a derivation of the ring, so B = A^alpha
+    solves D(B) <> A = alpha B <> D(A) (Henrici, *Applied and
+    Computational Complex Analysis* I, 1.6; Knuth, TAOCP 2, 4.7).  Read
+    by rows as truncated 1-D series (A_l the l-th row, * their product),
+    row i >= 1 of it is
+
+        B_i * A_0 = sum_{l=1..i} w_l A_l * B_(i-l),   w_l = (alpha+1) l/i - 1,
+
+    and row 0, by the column derivation, a00 b[0, j] = sum_{k=1..j}
+    ((alpha+1) k/j - 1) a[0, k] b[0, j-k].  The sum over l is one matmul,
+    the rows w_l B_(i-l) end to end against A's Toeplitz blocks stacked
+    once (:func:`_toeplitz_rows`); then a forward substitution against
+    A_0, one dot per entry.  Rows lie along the longer axis.  At
+    alpha = -1 every weight is -1: the back-substitution inverse.
+
+    With k = (i+1)(j+1), entrywise off the origin (row 0: j, column derivation),
+
+        |D(B) <> A - alpha B <> D(A)| <= gamma_(k+7) (i |A| <> |B| + |alpha+1| |D(A)| <> |B|).
+
+    Divided by i it bounds the entry's residual (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., 3.1, 3.3, 3.6, 8.1): its
+    k - 1 products but a00 b[i, j] err by gamma_3, their weights and the
+    weighting by five roundings relative to (|alpha+1| l/i + 1), and k - 2
+    additions sum them; a00^(-1) (Smith's division, gamma_5) times the
+    sum (gamma_3) errs by gamma_9 relative to |a00 b[i, j]|.
+    """
+    arr = a._array.T if a.cols > a.rows else a._array
+    m, n = arr.shape
+    padded, toeplitz = _toeplitz_rows(arr[1:], n, n)
+    ts = np.take(padded, toeplitz, axis=1).reshape((m - 1) * n, n)
+    a0, inv00, up = arr[0].tolist(), 1 / complex(arr[0, 0]), alpha + 1
+    b = np.empty((m, n), dtype=np.complex128)
+    row = [complex(b00)]
+    for j in range(1, n):
+        row.append(inv00 * sum((up / j * k - 1) * a0[k] * row[j - k] for k in range(1, j + 1)))
+    b[0] = row
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, m):
+            w = up / i * np.arange(1, i + 1) - 1
+            c = ((w[:, None] * b[i - 1::-1]).reshape(-1) @ ts[:i * n]).tolist()
+            row = []
+            for j in range(n):
+                row.append(inv00 * (c[j] - sum(map(operator.mul, a0[1:j + 1], reversed(row)))))
+            b[i] = row
+    return _matrix(b.T if a.cols > a.rows else b, COMPLEX)
 
 
 def _int_inverse(na: list, da: int) -> tuple:

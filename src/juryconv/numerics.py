@@ -53,21 +53,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def generalized_binomial(alpha: float, k: int) -> float:
-    """Generalized binomial coefficient alpha*(alpha-1)*...*(alpha-k+1) / k!.
-
-    Agrees with ``binomial(alpha, k)`` when alpha is a nonnegative
-    integer, and equals 1 for k = 0 (empty product) for any alpha.
-    """
-    if k < 0:
-        raise ValueError(f"generalized_binomial needs k >= 0, got {k}")
-    prod = 1.0
-    a = float(alpha)
-    for j in range(k):
-        prod *= a - j
-    return prod / factorial(k)
-
-
 def multiset_weight(counts: Mapping[object, int]) -> Fraction:
     """Exact weight 1 / prod(c!) over the multiplicities of a multiset."""
     denom = 1

@@ -5,8 +5,11 @@ so a scalar function f acts on A through its Taylor sum in G:
 
     f(A) = sum_{l=0}^{M+N-2} f^(l)(a00) / l! * G^(<>l),
 
-evaluated by Horner with :func:`juryconv.conv_core.ring_taylor`.  Entry
-(i, j) of G^(<>l) / l! is the elementary partition sum E_l(A, i, j) of
+evaluated by Horner with :func:`juryconv.conv_core.ring_taylor`, except
+for x^alpha, whose Taylor coefficients cancel (the sum lost digits from
+12x12 up): B = A^alpha is solved from D(B) <> A = alpha B <> D(A), D a
+derivation of the ring, by :func:`juryconv.conv_core._power_solve`.
+Entry (i, j) of G^(<>l) / l! is the elementary partition sum E_l(A, i, j) of
 :mod:`juryconv.partitions`; those sums stay as the independent oracle
 the tests compare against.  This extension is multiplicative for the
 convolution product, which is what makes it the right analogue of the
@@ -23,9 +26,8 @@ own oracle is the naive sum of powers.
 
 The module also hosts the bivariate-series matrix for real powers:
 entry (i, j) is i! j! times the x^i y^j coefficient of F(x, y)^alpha,
-where F packs the matrix entries as a polynomial in two variables.
-Conjugating the power transform by diag(0!, 1!, ..., (N-1)!) lands
-exactly on that matrix.
+where F packs the matrix entries as a polynomial in two variables: the
+power transform conjugated by diag(0!, 1!, ..., (N-1)!).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from . import numerics
 from .numerics import COMPLEX, RATIONAL, ScalarError
-from .conv_core import ConvMatrix, nilpotent_part, ring_taylor
+from .conv_core import ConvMatrix, _power_solve, nilpotent_part, ring_taylor
 
 
 class DomainError(ValueError):
@@ -382,7 +384,9 @@ def smooth_transform(f: FunctionSpec, a: ConvMatrix) -> ConvMatrix:
     The Taylor sum sum_l f^(l)(a00)/l! G^(<>l) in the nilpotent part
     G = A - a00 I: entry (0, 0) is f(a00), entry (i, j) contracts
     f^(1)(a00) ... f^(i+j)(a00) against the elementary partition sums.
-    Requires f to provide derivatives up to order M+N-2 at a00.
+    Requires f to provide derivatives up to order M+N-2 at a00.  The
+    power kind has the same value but is solved, not summed
+    (:func:`juryconv.conv_core._power_solve`).
     """
     order = a.rows + a.cols - 2
     f.ensure_order(order)
@@ -394,6 +398,8 @@ def smooth_transform(f: FunctionSpec, a: ConvMatrix) -> ConvMatrix:
         x0 = work[0, 0]
     else:
         x0 = _as_real(work[0, 0], f.kind)
+    if f.kind == "power":
+        return _power_solve(work, f.alpha, f.value(x0))
     derivs = [f.derivative(ell, x0) for ell in range(order + 1)]
     return ring_taylor(_taylor(derivs, exact), nilpotent_part(work))
 
@@ -509,21 +515,12 @@ def factorial_frame(a: ConvMatrix) -> ConvMatrix:
 def bivariate_power_matrix(alpha: float, a: ConvMatrix) -> ConvMatrix:
     """Entry (i, j) = i! j! [x^i y^j] F(x, y)^alpha, F packing the entries.
 
-    F(x, y) = a00 + sum over nonzero (m, n) of a[m, n] x^m y^n.  The
-    alpha-th power is expanded as a binomial series in G/a00 (G the
-    a00-free part), a00^alpha sum_k C(alpha, k) (G/a00)^k; only orders
-    k <= 2(N-1) can touch the coefficient window, and the polynomial
-    arithmetic is the truncated convolution itself.  Requires a square
-    matrix with real entries and a00 > 0.
+    F(x, y) = sum a[m, n] x^m y^n, whose alpha-th power, truncated to the
+    window, is A^alpha: this is :func:`factorial_frame` of the power
+    transform.  Requires a square matrix with real entries and a00 > 0.
     """
     if a.rows != a.cols:
         raise ValueError(f"bivariate power matrix needs a square matrix, got {a.shape}")
     if not a.is_real():
         raise ValueError("bivariate power matrix requires real entries")
-    work = a.astype(COMPLEX)
-    a00 = work[0, 0].real
-    if a00 <= 0:
-        raise DomainError(f"leading entry must be positive, got {a00}", node=a00)
-    coeffs = [numerics.generalized_binomial(alpha, k) * a00 ** (alpha - k)
-              for k in range(a.rows + a.cols - 1)]
-    return factorial_frame(ring_taylor(coeffs, nilpotent_part(work)))
+    return factorial_frame(smooth_transform(FunctionSpec.power(alpha), a))

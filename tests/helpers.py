@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from juryconv import ConvMatrix, conv, elementary_sum
+from juryconv import ConvMatrix, conv, elementary_sum, scale
+from juryconv.conv_core import nilpotent_part, ring_taylor
 
 
 def rand_fraction(rng: random.Random, lo: int = -9, hi: int = 9, max_den: int = 4) -> Fraction:
@@ -164,6 +165,65 @@ def inverse_reference(a: ConvMatrix) -> ConvMatrix:
             b[i][j] = -inv00 * sum(ad[l][k] * b[i - l][j - k]
                                    for l in range(i + 1) for k in range(j + 1) if l or k)
     return ConvMatrix.rational(b)
+
+
+def power_reference(a: ConvMatrix, alpha: float) -> np.ndarray:
+    """A^alpha of a real A with a00 > 0: the Taylor sum in exact arithmetic, as floats.
+
+    a00^alpha sum_l C(alpha, l) X^(<>l) at X = G / a00, with the
+    generalized binomials C(alpha, l) of alpha's exact value and X from
+    A's exact dyadic entries, summed by the rational ``ring_taylor``:
+    independent of the float routes.  Only the float a00^alpha and the
+    final scaling round.
+    """
+    arr = a.to_numpy()
+    assert not arr.imag.any()
+    exact = ConvMatrix.rational([[Fraction(v) for v in row] for row in arr.real.tolist()])
+    a00, al = exact[0, 0], Fraction(alpha)
+    coeffs = [Fraction(1)]
+    for l in range(a.rows + a.cols - 2):
+        coeffs.append(coeffs[-1] * (al - l) / (l + 1))
+    return ring_taylor(coeffs, nilpotent_part(scale(1 / a00, exact))).to_numpy() * float(a00) ** alpha
+
+
+def normwise_error(got: ConvMatrix, want: np.ndarray) -> float:
+    """max |got - want| / max |want|."""
+    return float(np.abs(got.to_numpy() - want).max() / np.abs(want).max())
+
+
+def assert_power_bound(a: ConvMatrix, alpha: float, b: ConvMatrix):
+    """The power solver's residual bound on real A (M >= N) and computed B = A^alpha, exactly.
+
+    With D(X)[i, j] = i X[i, j] and k = (i+1)(j+1), every entry (i, j)
+    with i >= 1 satisfies
+
+        |D(B) <> A - alpha B <> D(A)| <= gamma_(k+7) (i |A| <> |B| + |alpha+1| |D(A)| <> |B|),
+
+    and row 0 the same with j and the column derivation.  D(B) <> A is
+    i (A <> B) - D(A) <> B, so each side is a window of products of
+    integers over 2^(sa+sb) (:func:`_dyadic`), and alpha+1 = p / q.
+    """
+    assert a.rows >= a.cols and a.shape == b.shape
+    assert not a.to_numpy().imag.any() and not b.to_numpy().imag.any()
+    (ar, _), (br, _) = _dyadic(a.to_numpy().real), _dyadic(b.to_numpy().real)
+    rows, cols = a.shape
+    i, j = np.arange(rows, dtype=object)[:, None], np.arange(cols, dtype=object)[None, :]
+
+    def windows(x, y):
+        """x <> y, and D(x) <> y with D the row derivation, in row 0 the column one."""
+        return _int_window(x, y, rows, cols), np.where(
+            i > 0, _int_window(x * i, y, rows, cols), _int_window(x * j, y, rows, cols))
+
+    (prod, deriv), (aprod, aderiv) = windows(ar, br), windows(abs(ar), abs(br))
+    up = Fraction(alpha) + 1
+    p, q = up.numerator, up.denominator
+    d = np.where(i > 0, i, j)
+    resid = abs(q * d * prod - p * deriv)
+    bound = q * d * aprod + abs(p) * aderiv
+    bad = [(r, c, float(Fraction(resid[r, c], bound[r, c] or 1) / gamma((r + 1) * (c + 1) + 7)))
+           for r in range(rows) for c in range(cols)
+           if (r or c) and resid[r, c] > gamma((r + 1) * (c + 1) + 7) * bound[r, c]]
+    assert not bad, bad[:5]  # (i, j, residual / bound)
 
 
 def first_primes(count: int) -> list:

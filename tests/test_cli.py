@@ -11,6 +11,8 @@ from juryconv import partitions as partitions_mod
 from juryconv.cli import main, parse_alpha_grid, parse_h_grid
 from juryconv.numerics import ScalarError
 
+from helpers import normwise_error, power_reference
+
 
 @pytest.fixture
 def matrix_files(tmp_path):
@@ -70,6 +72,17 @@ class TestTransformCommand:
         data = json.loads(capsys.readouterr().out)["result"]["data"][0]
         assert data[0] == data[1] == [math.e, 0.0]
         assert all(math.isfinite(re) and re > 0 for re, _ in data)
+
+    def test_power_past_factorial_float_range(self, tmp_path, capsys):
+        # Orders up to 199 of x^0.5, whose derivatives at 1 leave float range from order 172.
+        a = ConvMatrix.floats([[1.0] * 200])
+        p = tmp_path / "m.json"
+        p.write_text(a.to_json())
+        assert main(["transform", str(p), "--function", '{"kind":"power","alpha":0.5}']) == 0
+        got = ConvMatrix.from_json_dict(json.loads(capsys.readouterr().out)["result"])
+        want = power_reference(a, 0.5)
+        assert normwise_error(got, want) <= 1e-13
+        assert (abs(got.to_numpy() - want) <= 1e-12 * abs(want)).all()
 
     def test_stepped_needs_h(self, matrix_files, capsys):
         pa, _ = matrix_files
@@ -156,9 +169,9 @@ class TestArithmeticErrors:
                         "--function", '{"kind":"power","alpha":-2}')
 
     def test_derivative_beyond_float_range(self, tmp_path, capsys):
-        # d^l/dx^l x^0.5 at 1 is about l! / l^1.5, past float range from l = 172.
-        self._transform(tmp_path, capsys, "complex", [[1.0] * 200],
-                        "--function", '{"kind":"power","alpha":0.5}')
+        # a00^alpha = 1e600 is past float range: the float power raises OverflowError.
+        self._transform(tmp_path, capsys, "complex", [[1e200, 1.0]],
+                        "--function", '{"kind":"power","alpha":3}')
 
     def test_step_power_underflow(self, tmp_path, capsys):
         self._transform(tmp_path, capsys, "complex", [[1.0] * 200],
@@ -278,6 +291,12 @@ class TestSuites:
         rows = {row["alpha"]: row for row in payload["report"]["rows"]}
         assert rows[-0.5]["found_violation"] is True
         assert rows[2.0]["violations"] == 0
+
+    @pytest.mark.parametrize("n", ["16", "24"])
+    def test_fh_suite_past_twelve(self, n, capsys):
+        # Float x^alpha stays Hermitian within is_psd's tolerance at these sizes.
+        assert main(["suite", "fh", "--n", n, "--trials", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
 
     def test_violated_expectation_exits_one(self, monkeypatch, capsys):
         monkeypatch.setitem(cli.SUITES, "prob", lambda cfg: ({"forced": True}, False))

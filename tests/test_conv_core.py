@@ -27,7 +27,7 @@ from juryconv import (
     scale,
     transpose,
 )
-from juryconv.conv_core import antidiagonal_indices, matrices_close, nilpotent_part, ring_taylor
+from juryconv.conv_core import matrices_close, nilpotent_part, ring_taylor
 from juryconv import conv_core, numerics
 from juryconv.numerics import ScalarError
 
@@ -794,7 +794,3 @@ class TestConstructionAndSerialization:
     def test_csv_rejects_complex(self):
         with pytest.raises(ScalarError):
             ConvMatrix.floats([[complex(1, 1)]]).to_csv()
-
-    def test_antidiagonal_order(self):
-        order = list(antidiagonal_indices(2, 3))
-        assert order == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (1, 2)]

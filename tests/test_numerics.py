@@ -14,7 +14,6 @@ from juryconv.numerics import (
     binomial,
     close,
     coerce,
-    generalized_binomial,
     multiset_weight,
     scalar_from_json,
     scalar_to_json,
@@ -58,29 +57,6 @@ class TestBinomial:
     def test_negative_arguments_rejected(self):
         with pytest.raises(ValueError):
             binomial(-1, 0)
-
-
-class TestGeneralizedBinomial:
-    def test_integer_case(self):
-        assert generalized_binomial(2, 1) == 2
-
-    def test_half_power_expansion(self):
-        # 0.5 * (0.5 - 1) / 2! by hand
-        assert generalized_binomial(0.5, 2) == pytest.approx(-0.125, abs=0)
-
-    def test_empty_product(self):
-        for alpha in (-3.7, 0.0, 2.5, 11.0):
-            assert generalized_binomial(alpha, 0) == 1.0
-
-    def test_agrees_with_binomial_for_integers(self):
-        for n in range(21):
-            for k in range(n + 1):
-                exact = binomial(n, k)
-                approx = generalized_binomial(float(n), k)
-                assert abs(approx - exact) <= 1e-12 * max(1, exact)
-
-    def test_vanishes_past_integer_alpha(self):
-        assert generalized_binomial(3.0, 5) == 0.0
 
 
 class TestMultisetWeight:

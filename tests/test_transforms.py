@@ -17,6 +17,7 @@ from juryconv import (
     bivariate_power_matrix,
     conv,
     conv_identity,
+    conv_inverse_recursive,
     conv_power_naive,
     divided_difference,
     factorial_frame,
@@ -25,12 +26,19 @@ from juryconv import (
     series_transform,
     smooth_transform,
     stepped_transform,
+    transpose,
 )
 from juryconv import Interval, elementary_sum, sample_psd
 from juryconv import transforms
 from juryconv.conv_core import matrices_close, nilpotent_part, ring_taylor
 
-from helpers import rand_fraction, rand_rational_matrix
+from helpers import (
+    assert_power_bound,
+    normwise_error,
+    power_reference,
+    rand_fraction,
+    rand_rational_matrix,
+)
 
 
 def rand_poly(rng, max_deg=4):
@@ -306,6 +314,33 @@ class TestSmoothTransform:
             smooth_transform(FunctionSpec.exp(max_order=2), a)
 
 
+class TestPowerSolver:
+    """x^alpha by the derivation solver, and x^-1 through it as the recursive inverse."""
+
+    ALPHAS = (0.5, -0.5, 2.5, -1.0)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("seed", [19, 7])
+    def test_normwise_error_against_exact_taylor_sum(self, n, seed):
+        # The Taylor route in G lost 1e-5 (x^0.5) and 2e-3 (x^-1) at 16x16 on these inputs.
+        a = sample_psd(n, Interval(1.0), np.random.default_rng([seed, n]))
+        for alpha in self.ALPHAS:
+            want = power_reference(a, alpha)
+            assert normwise_error(smooth_transform(FunctionSpec.power(alpha), a), want) <= 1e-13
+        assert normwise_error(conv_inverse_recursive(a), power_reference(a, -1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("shape", [(8, 8), (32, 32), (3, 12)])
+    def test_residual_bound(self, shape):
+        # A wide shape is solved transposed, so its bound holds on the transposes.
+        m, n = shape
+        a = sample_psd(max(m, n), Interval(1.0), np.random.default_rng([19, m, n]))
+        a = ConvMatrix.from_numpy(a.to_numpy()[:m, :n])
+        along = transpose if m < n else (lambda x: x)
+        for alpha in self.ALPHAS:
+            b = smooth_transform(FunctionSpec.power(alpha), a)
+            assert_power_bound(along(a), alpha, along(b))
+
+
 class TestSteppedTransform:
     def test_square_on_ones(self):
         f = FunctionSpec.polynomial([0, 0, 1])
@@ -498,7 +533,7 @@ class TestBivariatePowerMatrix:
         assert matrices_close(bivariate_power_matrix(1.0, a), a, 1e-14)
 
     def test_factorial_frame_identity(self):
-        # diag(0!,...,(N-1)!) f(A) diag(...) equals the bivariate matrix
+        # diag(0!,...,(N-1)!) f(A) diag(...), f(A) by partition sums, equals the bivariate matrix
         rng = random.Random(61)
         for n in (2, 3, 4):
             raw = [[0.1 + 0.8 * rng.random() for _ in range(n)] for _ in range(n)]
@@ -506,7 +541,7 @@ class TestBivariatePowerMatrix:
                     for j in range(n)] for i in range(n)]
             a = ConvMatrix.floats(sym)
             for alpha in (0.5, 2.5):
-                lhs = factorial_frame(smooth_transform(FunctionSpec.power(alpha), a))
+                lhs = factorial_frame(_smooth_reference(FunctionSpec.power(alpha), a))
                 rhs = bivariate_power_matrix(alpha, a)
                 assert matrices_close(lhs, rhs, 1e-10)
 
