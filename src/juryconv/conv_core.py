@@ -20,11 +20,15 @@ alpha = -1 case of :func:`_power_solve`, Miller's recurrence for
 A^alpha, which also runs the power transforms of :mod:`juryconv.transforms`.
 
 Both backends store a matrix as one read-only 2-D array, so entrywise
-operations are single array operations on either: ``complex128`` on the
-complex one; on the rational one an object array N of Python ints over
-one positive denominator d, in lowest terms (gcd(d, N) = 1), a canonical
-form.  ``Fraction``s are built only when entries are read: entry access,
-the ``data`` tuples (a view built on first use), JSON and CSV.
+operations are single array operations on either.  On the complex one
+it is ``float64`` when no entry has a nonzero imaginary part and
+``complex128`` otherwise (:func:`_float_storage`), so real data, which
+is every matrix of the paper's positivity results, runs real BLAS and
+LAPACK; entries still read as ``complex``.  On the rational one it is
+an object array N of Python ints over one positive denominator d, in
+lowest terms (gcd(d, N) = 1), a canonical form.  ``Fraction``s are
+built only when entries are read: entry access, the ``data`` tuples (a
+view built on first use), JSON and CSV.
 
 The convolution sum itself is written once, in :func:`_conv_window`,
 which maps two storage arrays to a top-left window of their full 2-D
@@ -34,7 +38,9 @@ d_a d_b, and one content-gcd pass brings it to lowest terms.  Integer
 sums are exact, so the result is the one the Fraction arithmetic would
 give, at a fraction of its cost.  On the complex backend it is a sum of
 BLAS products with Toeplitz blocks (:func:`_gemm_window`), with an
-entrywise error bound and exact structural zeros.  The ring product
+entrywise error bound and exact structural zeros; the complex kernels
+compute in ``float64`` when every operand and coefficient is real, and
+in ``complex128`` otherwise.  The ring product
 :func:`conv` is its M x N window and is defined only for equal shapes;
 the padded, shape-growing product :func:`padded_conv` is its
 (M1+M2-1) x (N1+N2-1) window, re-exported by :mod:`juryconv.probgrid`
@@ -44,8 +50,9 @@ and the rational back-substitution inverse run on rows of ints over one
 running denominator, with :func:`_int_window` and :func:`_int_dot`, and
 wrap their result once.  A complex Horner chain holds one factor fixed,
 so it has its own route, :func:`_gemm_chain`: X's Toeplitz blocks
-stacked once, and one matmul per block of rows per step, with the
-kernel's entrywise bound at every step.
+stacked once, and one batched matmul per block of rows per step (runs
+of at most _CHAIN_RUN products per entry), with the kernel's entrywise
+bound at every step.
 """
 
 from __future__ import annotations
@@ -91,7 +98,7 @@ SINGULARITY_RTOL = 1e-12
 
 
 def _copied_array(data, scalar: str) -> np.ndarray:
-    """A fresh C-ordered array of nested rows or a 2-D array: complex128, or objects."""
+    """A fresh array of nested rows or a 2-D array: objects, or floats by :func:`_float_storage`."""
     try:
         if scalar != COMPLEX:
             return np.array(data, dtype=object)
@@ -100,7 +107,21 @@ def _copied_array(data, scalar: str) -> np.ndarray:
         raise ShapeMismatchError(f"rows of unequal length: {exc}") from exc
     if arr.dtype.kind not in "biufc":
         raise ScalarError(f"complex backend holds numbers, got dtype {arr.dtype}")
-    return arr.astype(np.complex128, copy=False)
+    return _float_storage(arr)
+
+
+def _float_storage(arr: np.ndarray) -> np.ndarray:
+    """Complex storage: ``arr`` as float64 if no imaginary part is nonzero, else as complex128.
+
+    A zero imaginary part of either sign counts as zero; a NaN one does
+    not, so it reaches the finiteness check.  No copy is made where the
+    dtype already fits (``_adopt`` makes the result contiguous).
+    """
+    if arr.dtype.kind == "c":
+        if arr.imag.any():
+            return arr.astype(np.complex128, copy=False)
+        arr = arr.real
+    return arr.astype(np.float64, copy=False)
 
 
 def _over_one_denominator(arr: np.ndarray) -> tuple:
@@ -123,8 +144,11 @@ class ConvMatrix:
     """Immutable M x N matrix over an exact-rational or complex-float backend.
 
     Indexing is zero-based.  The storage is one read-only, C-ordered 2-D
-    array on both backends.  On the complex one it is ``complex128``
-    (what :meth:`to_numpy` returns).  On the rational one it is an
+    array on both backends.  On the complex one it is ``float64`` when
+    no entry has a nonzero imaginary part and ``complex128`` otherwise;
+    :meth:`to_numpy` returns that array, so real data comes back as
+    ``float64``, while entry access, ``data``, JSON, ``==``, ``hash``
+    and pickling see ``complex`` values either way.  On the rational one it is an
     object array N of Python ints over one denominator d > 0, in lowest
     terms: gcd(d, every entry of N) = 1, so a zero matrix has d = 1.
     That form is canonical, so ``==`` is array equality plus equal d.
@@ -174,10 +198,11 @@ class ConvMatrix:
     @property
     def data(self) -> tuple:
         if self._data is None:
-            rows = self._array.tolist()
             if self.scalar == RATIONAL:
                 d = self._den
-                rows = [[Fraction(v, d) for v in row] for row in rows]
+                rows = [[Fraction(v, d) for v in row] for row in self._array.tolist()]
+            else:
+                rows = self._array.astype(np.complex128, copy=False).tolist()
             object.__setattr__(self, "_data", tuple(map(tuple, rows)))
         return self._data
 
@@ -245,7 +270,7 @@ class ConvMatrix:
     def __getitem__(self, key) -> Scalar:
         i, j = key
         v = self._array.item(i, j)
-        return Fraction(v, self._den) if self.scalar == RATIONAL else v
+        return Fraction(v, self._den) if self.scalar == RATIONAL else complex(v)
 
     def indices(self) -> Iterator[tuple]:
         for i in range(self.rows):
@@ -258,8 +283,10 @@ class ConvMatrix:
     def to_numpy(self, dtype=None):
         """Entries as an array: the stored read-only one on complex, new floats on rationals.
 
-        A rational entry is N[i, j] / d, int by int true division, which
-        rounds correctly: the float ``float(Fraction)`` gives.
+        On complex that is ``float64`` for real data and ``complex128``
+        otherwise (the storage rule).  A rational entry is N[i, j] / d,
+        int by int true division, which rounds correctly: the float
+        ``float(Fraction)`` gives.
         """
         if self.scalar == RATIONAL:
             return (self._array / self._den).astype(dtype or float)
@@ -269,7 +296,7 @@ class ConvMatrix:
         if scalar == self.scalar:
             return self
         if scalar == COMPLEX:
-            return _matrix(self.to_numpy(np.complex128), COMPLEX)
+            return _matrix(self.to_numpy(), COMPLEX)
         raise ScalarError("cannot convert a complex-float matrix to the exact backend")
 
     def max_abs(self) -> float:
@@ -399,13 +426,17 @@ def _matrix(arr: np.ndarray, scalar: str, den: int = 1) -> ConvMatrix:
     """A matrix over ``arr``, an array just built here: frozen in place, not copied.
 
     On rationals ``arr`` holds ints over ``den`` > 0; one content-gcd
-    pass brings them to lowest terms, in place.
+    pass brings them to lowest terms, in place.  On complex the storage
+    rule picks the dtype: a complex result with no nonzero imaginary
+    part is stored as its real part (copied).
     """
     if scalar == RATIONAL:
         g = math.gcd(den, *arr.flat)
         if g != 1:
             arr //= g
             den //= g
+    else:
+        arr = _float_storage(arr)
     m = ConvMatrix.__new__(ConvMatrix)
     m._adopt(*arr.shape, arr, scalar, den)
     return m
@@ -414,7 +445,7 @@ def _matrix(arr: np.ndarray, scalar: str, den: int = 1) -> ConvMatrix:
 def _scaled_identity(rows: int, cols: int, c, scalar: str) -> ConvMatrix:
     """c I for a scalar c of the backend: on complex, c * 0 off the origin, as ``scale`` gives."""
     if scalar == COMPLEX:
-        zero, unit = np.array([0j, 1 + 0j]) * c
+        zero, unit = np.array([0.0, 1.0]) * (c if c.imag else c.real)
         arr = np.full((rows, cols), zero)
         arr[0, 0] = unit
         return _matrix(arr, COMPLEX)
@@ -438,11 +469,15 @@ def _conv_window(a: np.ndarray, b: np.ndarray, rows: int, cols: int) -> np.ndarr
     On the rational backend the operands are numerator arrays, and the
     window is :func:`_int_window` of their rows: integer sums, exact in
     any order, which the caller puts over d_a d_b and brings to lowest
-    terms in one content-gcd pass (:func:`_matrix`).
+    terms in one content-gcd pass (:func:`_matrix`).  A tall window runs
+    on the transposes (conv commutes with transposition): each term of
+    an entry's sum pairs two rows, so few long rows cost less than many
+    short ones.
 
-    On the complex backend (``complex128``) one route serves every
-    shape, :func:`_gemm_window` (complex chains run :func:`_gemm_chain`,
-    which sums the same products per entry).  Each entry sums the
+    On the complex backend one route serves every shape,
+    :func:`_gemm_window` (complex chains run :func:`_gemm_chain`, which
+    sums the same products per entry), in ``float64`` when both operands
+    are real and in ``complex128`` otherwise.  Each entry sums the
     k <= M*N products a[l, k] b[i-l, j-k] of the definition, in BLAS's
     order, plus products with an exact zero, which add nothing.  Hence:
 
@@ -465,6 +500,8 @@ def _conv_window(a: np.ndarray, b: np.ndarray, rows: int, cols: int) -> np.ndarr
     """
     if a.dtype != object:
         return _gemm_window(a, b, rows, cols)
+    if rows > cols:
+        return _conv_window(a.T, b.T, cols, rows).T
     return np.array(_int_window(a.tolist(), b.tolist(), rows, cols), dtype=object)
 
 
@@ -499,10 +536,11 @@ def _toeplitz_rows(a: np.ndarray, nb: int, cols: int):
     """(padded, index) with ``padded[l, index]`` = T_l, T_l[m, j] = a[l, j-m].
 
     T_l is the nb x cols upper-triangular Toeplitz block of row l of A,
-    zero off A's columns; ``padded`` is A's rows, zero-padded on the left.
+    zero off A's columns; ``padded`` is A's rows, zero-padded on the left,
+    of A's dtype.
     """
     ma, na = a.shape
-    padded = np.zeros((ma, nb + cols), dtype=np.complex128)
+    padded = np.zeros((ma, nb + cols), dtype=a.dtype)
     padded[:, nb:nb + min(na, cols)] = a[:, :cols]
     return padded, nb + np.arange(cols) - np.arange(nb)[:, None]
 
@@ -514,14 +552,17 @@ def _gemm_window(a: np.ndarray, b: np.ndarray, rows: int, cols: int) -> np.ndarr
     (:func:`_toeplitz_rows`).  The blocks lie along the shorter output
     axis (conv commutes with transposition), which bounds the workspace
     by a few times the output: one block lying along the longer axis of
-    two 1 x 3000 operands would be 3000 x 5999.
+    two 1 x 3000 operands would be 3000 x 5999.  Both operands are cast
+    to their common dtype, so a real one meets a complex one as the
+    ``complex128`` product would.
     """
     if cols > rows:
         return _gemm_window(a.T, b.T, cols, rows).T
+    dtype = np.result_type(a, b)
     nb = min(b.shape[1], cols)
-    b = b[:, :nb]
-    padded, toeplitz = _toeplitz_rows(a, nb, cols)
-    out = np.zeros((rows, cols), dtype=np.complex128)
+    b = b[:, :nb].astype(dtype, copy=False)
+    padded, toeplitz = _toeplitz_rows(a.astype(dtype, copy=False), nb, cols)
+    out = np.zeros((rows, cols), dtype=dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         for l in range(min(a.shape[0], rows)):
             r = min(b.shape[0], rows - l)
@@ -532,6 +573,9 @@ def _gemm_window(a: np.ndarray, b: np.ndarray, rows: int, cols: int) -> np.ndarr
 # Entries gathered per matmul of a complex Horner step (:func:`_gemm_chain`):
 # it sets the row-block height, so it bounds the workspace on thin shapes.
 _CHAIN_GATHER_BUDGET = 1 << 16
+# Most products per entry that one matmul of a complex Horner step sums
+# (:func:`_gemm_chain`); longer sums are split into runs added in order.
+_CHAIN_RUN = 128
 
 
 def _gemm_chain(cs: list, x: np.ndarray) -> np.ndarray:
@@ -542,29 +586,48 @@ def _gemm_chain(cs: list, x: np.ndarray) -> np.ndarray:
     is then (R <> X)[i] = S[i] @ Xs with S[i, (l, q)] = R[i-l, q], zero
     for l > i: the row shifts of R, gathered from a copy with zero rows
     on top.  Rows [i0, i1) read only l < i1, so each block of rows is
-    one matmul with Xs[:i1 N].  The block height keeps a block's gather
-    within _CHAIN_GATHER_BUDGET entries; the blocks run bottom-up, so each
-    overwrites rows of R that no later (higher) block reads, in place.
-    As in :func:`_gemm_window` the blocks lie along the shorter axis.
+    one batched matmul with Xs[:i1 N]: the l are split into the fewest
+    even runs of at most _CHAIN_RUN products per entry, one BLAS product
+    per run, and the runs' results are added in order.  That bounds how many
+    products BLAS sums in one run whatever its own blocking (the
+    ``float64`` gemm sums longer runs than the ``complex128`` one, and
+    lost up to half a digit over them).  The block height keeps a
+    block's gather within _CHAIN_GATHER_BUDGET entries; the blocks run
+    bottom-up, so each overwrites rows of R that no later (higher) block
+    reads, in place.  As in :func:`_gemm_window` the blocks lie along the
+    shorter axis.  The chain runs in ``float64`` when X and every
+    coefficient are real, and in ``complex128`` otherwise.
     """
     m, n = x.shape
     if n > m:
         return _gemm_chain(cs, x.T).T
+    if x.dtype.kind == "f" and not any(c.imag for c in cs):
+        cs = [c.real for c in cs]
+    else:
+        x = x.astype(np.complex128, copy=False)
+    # Run p holds the g blocks T_l with p g <= l < (p+1) g, zero past l = M-1.
+    runs = -(-m // max(1, _CHAIN_RUN // n))
+    g = -(-m // runs)
     padded, toeplitz = _toeplitz_rows(x, n, n)
-    xs = np.take(padded, toeplitz, axis=1).reshape(m * n, n)
+    xs = np.zeros((runs * g * n, n), dtype=x.dtype)
+    xs[:m * n] = np.take(padded, toeplitz, axis=1).reshape(m * n, n)
+    xs = xs.reshape(runs, g * n, n)
     h = max(1, min(m, _CHAIN_GATHER_BUDGET // (m * n)))
-    r = np.zeros((h - 1 + m, n), dtype=np.complex128)
-    r[h - 1, 0] = cs[-1]
-    # shifts[s, l] + i0 is the row of r holding R[i0+s-l]; a block uses shifts[:, :i1].
-    shifts = h - 1 + np.arange(h)[:, None] - np.arange(m)
+    top = h + g - 2
+    r = np.zeros((top + m, n), dtype=x.dtype)
+    r[top, 0] = cs[-1]
+    # shifts[p, s, t] + i0 is the row of r holding R[i0+s-l], l = p g + t (a zero row for l > i0+s).
+    shifts = top + np.arange(h)[:, None] - np.arange(runs * g)
+    shifts = shifts.reshape(h, runs, g).transpose(1, 0, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         for c in reversed(cs[:-1]):
             for i0 in range((m - 1) // h * h, -1, -h):
                 i1 = min(i0 + h, m)
-                np.matmul(r[shifts[:i1 - i0, :i1] + i0].reshape(i1 - i0, i1 * n), xs[:i1 * n],
-                          out=r[h - 1 + i0:h - 1 + i1])
-            r[h - 1, 0] += c
-    return r[h - 1:]
+                p = -(-i1 // g)
+                parts = r[shifts[:p, :i1 - i0] + i0].reshape(p, i1 - i0, g * n) @ xs[:p]
+                parts.sum(axis=0, out=r[top + i0:top + i1])
+            r[top, 0] += c
+    return r[top:]
 
 
 def conv(a: ConvMatrix, b: ConvMatrix) -> ConvMatrix:
@@ -606,7 +669,7 @@ def scale(alpha, a: ConvMatrix) -> ConvMatrix:
     if a.scalar == RATIONAL:
         return _matrix(a._array * c.numerator, RATIONAL, a._den * c.denominator)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _matrix(c * a._array, a.scalar)
+        return _matrix((c if c.imag else c.real) * a._array, a.scalar)
 
 
 def transpose(a: ConvMatrix) -> ConvMatrix:
@@ -658,15 +721,19 @@ def conv_inverse_recursive(a: ConvMatrix) -> ConvMatrix:
 
     Entry (i, j) solves b[i, j] = -a00^(-1) sum a[l, k] b[i-l, j-k] over
     (l, k) != (0, 0), terms fixed before it.  On rationals it runs on A's
-    numerators, :func:`_int_inverse`: exact.  On floats it is
+    numerators, :func:`_int_inverse`: exact, and on the transpose of a
+    tall A (the inverse commutes with transposition; see
+    :func:`_conv_window`).  On floats it is
     :func:`_power_solve` at alpha = -1, whose bound reads, with
     k = (i+1)(j+1), |A <> B - I| <= gamma_(k+7) (|A| <> |B|) entrywise;
     the tests hold it to gamma_(k+2).
     """
     _check_invertible(a)
     if a.scalar == RATIONAL:
-        rows, den = _int_inverse(a._array.tolist(), a._den)
-        return _matrix(np.array(rows, dtype=object), RATIONAL, den)
+        tall = a.rows > a.cols
+        rows, den = _int_inverse((a._array.T if tall else a._array).tolist(), a._den)
+        b = np.array(rows, dtype=object)
+        return _matrix(b.T if tall else b, RATIONAL, den)
     return _power_solve(a, -1.0, 1 / a[0, 0])
 
 
@@ -697,15 +764,22 @@ def _power_solve(a: ConvMatrix, alpha: float, b00: complex) -> ConvMatrix:
     k - 1 products but a00 b[i, j] err by gamma_3, their weights and the
     weighting by five roundings relative to (|alpha+1| l/i + 1), and k - 2
     additions sum them; a00^(-1) (Smith's division, gamma_5) times the
-    sum (gamma_3) errs by gamma_9 relative to |a00 b[i, j]|.
+    sum (gamma_3) errs by gamma_9 relative to |a00 b[i, j]|.  Smith's
+    division is the complex route's: when A and b00 are real the solver
+    runs in ``float64`` and Python floats, and a00^(-1) rounds once.
     """
     arr = a._array.T if a.cols > a.rows else a._array
+    b00 = complex(b00)
+    if arr.dtype.kind == "f" and not b00.imag:
+        num, b00 = float, b00.real
+    else:
+        num, arr = complex, arr.astype(np.complex128, copy=False)
     m, n = arr.shape
     padded, toeplitz = _toeplitz_rows(arr[1:], n, n)
     ts = np.take(padded, toeplitz, axis=1).reshape((m - 1) * n, n)
-    a0, inv00, up = arr[0].tolist(), 1 / complex(arr[0, 0]), alpha + 1
-    b = np.empty((m, n), dtype=np.complex128)
-    row = [complex(b00)]
+    a0, inv00, up = arr[0].tolist(), 1 / num(arr[0, 0]), alpha + 1
+    b = np.empty((m, n), dtype=arr.dtype)
+    row = [b00]
     for j in range(1, n):
         row.append(inv00 * sum((up / j * k - 1) * a0[k] * row[j - k] for k in range(1, j + 1)))
     b[0] = row
@@ -803,9 +877,10 @@ def ring_taylor(coeffs: Iterable, x: ConvMatrix) -> ConvMatrix:
 
     On the complex backend the chain is :func:`_gemm_chain`: X's
     Toeplitz blocks are stacked once, M N min(M, N) entries, and each
-    step is one matmul per block of rows (a block gathers at most
-    _CHAIN_GATHER_BUDGET entries, the rest of the workspace) and one add
-    at the origin.  Each entry of a step sums the same k products as
+    step is one batched matmul per block of rows (a block gathers at most
+    _CHAIN_GATHER_BUDGET entries, the rest of the workspace; each sum is
+    split into runs of at most _CHAIN_RUN products) and one add at the
+    origin.  Each entry of a step sums the same k products as
     :func:`_conv_window`, plus exact zeros, so with R the computed R_(l+1)
 
         |fl(R <> X) - R <> X| <= gamma_(k+2) (|R| <> |X|)   entrywise
@@ -823,18 +898,21 @@ def ring_taylor(coeffs: Iterable, x: ConvMatrix) -> ConvMatrix:
     anti-diagonals, save the zero product R[i, j] X[0, 0].  Skipped
     entries stay zero, and the result, exact and in lowest terms, is the
     uncapped loop's.  The cap is rational-only; complex steps are full.
+    A tall X runs on its transpose, as in :func:`_conv_window`.
     """
     cs = [numerics.coerce(c, x.scalar) for c in coeffs]
     if len(cs) < 2:
         return _scaled_identity(x.rows, x.cols, cs[0] if cs else numerics.zero(x.scalar), x.scalar)
     if x.scalar == COMPLEX:
         return _matrix(_gemm_chain(cs, x._array).copy(), COMPLEX)
-    nx, dx = x._array.tolist(), x._den
-    full, nilpotent = x.rows + x.cols - 2, nx[0][0] == 0
-    r = [[0] * x.cols for _ in range(x.rows)]
+    tall = x.rows > x.cols
+    nx, dx = (x._array.T if tall else x._array).tolist(), x._den
+    rows, cols = len(nx), len(nx[0])
+    full, nilpotent = rows + cols - 2, nx[0][0] == 0
+    r = [[0] * cols for _ in range(rows)]
     r[0][0], den = cs[-1].numerator, cs[-1].denominator
     for l in range(len(cs) - 2, -1, -1):
-        r = _int_window(r, nx, x.rows, x.cols, full - l if nilpotent else None)
+        r = _int_window(r, nx, rows, cols, full - l if nilpotent else None)
         c, den = cs[l], den * dx
         common = math.lcm(den, c.denominator)
         if common != den:
@@ -842,7 +920,8 @@ def ring_taylor(coeffs: Iterable, x: ConvMatrix) -> ConvMatrix:
             den = common
         r[0][0] += c.numerator * (den // c.denominator)
         r, den = _lowest_rows(r, den)
-    return _matrix(np.array(r, dtype=object), RATIONAL, den)
+    r = np.array(r, dtype=object)
+    return _matrix(r.T if tall else r, RATIONAL, den)
 
 
 def matrices_close(a: ConvMatrix, b: ConvMatrix, tol: float = 1e-12) -> bool:

@@ -77,7 +77,9 @@ def is_psd(h, tol: float = DEFAULT_TOL) -> PsdVerdict:
 
     Accepts a ConvMatrix (either backend) or array-like.  The input must
     be Hermitian within ``tol`` relative to its max-norm; it is then
-    symmetrized by (H + H*)/2 before the (LAPACK) eigenvalue call.
+    symmetrized by (H + H*)/2 before the (LAPACK) eigenvalue call.  A
+    real ConvMatrix is stored as float64, so that call is the real
+    symmetric solver.
     """
     if isinstance(h, ConvMatrix):
         if h.rows != h.cols:

@@ -37,6 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
+import numpy as np
+
 from . import numerics
 from .numerics import COMPLEX, RATIONAL, ScalarError
 from .conv_core import ConvMatrix, _power_solve, nilpotent_part, ring_taylor
@@ -444,6 +446,18 @@ class SeriesTransformResult:
 SERIES_TERM_BUDGET = 10_000
 SERIES_TAIL_TOL = 1e-12
 _SMALL_STREAK = 3  # consecutive negligible terms required to accept convergence
+# The fold shifts v's shared binary exponent once |v| (2 |a00| + 1), which
+# bounds the next Pascal step, reaches this.
+_FOLD_RESCALE = 2.0 ** 1000
+
+
+def _ldexp(x: np.ndarray, e: int) -> np.ndarray:
+    """x 2^e entrywise, real and imaginary parts apart: exact while a part stays a normal float."""
+    if x.dtype.kind != "c":
+        return np.ldexp(x, e)
+    out = np.empty_like(x)
+    out.real, out.imag = np.ldexp(x.real, e), np.ldexp(x.imag, e)
+    return out
 
 
 def series_transform(coeffs: Iterable[float], a: ConvMatrix,
@@ -454,9 +468,15 @@ def series_transform(coeffs: Iterable[float], a: ConvMatrix,
 
     With A = a00 I + G and G^(<>(M+N-1)) = 0 the series is the Taylor sum
     sum_{l<=M+N-2} d_l G^(<>l), d_l = sum_k c_k C(k, l) a00^(k-l).  The
-    stream is read once and folded into those M+N-1 scalars (the Pascal
-    recurrence v_l <- a00 v_l + v_(l-1) keeps v_l = C(k, l) a00^(k-l)),
-    and one :func:`juryconv.conv_core.ring_taylor` call sums them in G.
+    stream is read once and folded into those M+N-1 scalars, as one
+    vector (the Pascal recurrence v_l <- a00 v_l + v_(l-1) keeps
+    v_l = C(k, l) a00^(k-l)), and one
+    :func:`juryconv.conv_core.ring_taylor` call sums them in G.  v is
+    held as v' 2^e with one shared exponent e, shifted by a power of two
+    before v' could overflow, so a large base point (exp at a00 = 300)
+    folds while each c_k v_l is finite; scaling by 2^e is exact above
+    the subnormal range, and below the shift threshold e = 0, where the
+    fold is the unscaled one.
     The fold stops at the truncation index, at stream exhaustion (a
     finite stream IS the series), or -- with no truncation -- once, for
     several consecutive terms from the first nonzero one on, every
@@ -468,31 +488,44 @@ def series_transform(coeffs: Iterable[float], a: ConvMatrix,
     """
     work = a.astype(COMPLEX)
     a00 = work[0, 0]
-    d = [0j] * (work.rows + work.cols - 1)
-    v = [1 + 0j] + d[1:]
+    a00 = a00 if a00.imag else a00.real
+    d = np.zeros(work.rows + work.cols - 1)
+    v = np.zeros_like(d, dtype=type(a00))
+    v[0], e, grow = 1, 0, 2 * abs(a00) + 1
     tail, small_streak, seen_nonzero, terms = math.inf, 0, False, 0
-    for k, c in enumerate(coeffs):
-        if truncation is not None and k > truncation:
-            break
-        if k > term_budget:
-            raise SeriesDivergenceError(f"series did not settle within {term_budget} terms")
-        if k:
-            v = [a00 * x + y for x, y in zip(v, [0j] + v[:-1])]
-        try:
-            incs = [complex(c) * x for x in v]
-            d = [numerics.coerce(x + i, COMPLEX) for x, i in zip(d, incs)]
-            tail = max((abs(i) / abs(x) if x else math.inf) if i else 0.0
-                       for i, x in zip(incs, d))
-        except (ScalarError, OverflowError) as exc:
-            raise SeriesDivergenceError(f"series blew up at term {k}: {exc}") from exc
-        terms = k + 1
-        seen_nonzero = seen_nonzero or any(incs)
-        if truncation is None and seen_nonzero:
-            small_streak = small_streak + 1 if tail <= tail_tol else 0
-            if small_streak >= _SMALL_STREAK:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k, c in enumerate(coeffs):
+            if truncation is not None and k > truncation:
                 break
+            if k > term_budget:
+                raise SeriesDivergenceError(f"series did not settle within {term_budget} terms")
+            if k:
+                big = float(np.abs(v).max())
+                if big * grow >= _FOLD_RESCALE:
+                    shift = math.frexp(big)[1]
+                    v, e = _ldexp(v, -shift), e + shift
+                w = a00 * v
+                w[1:] += v[:-1]
+                v = w
+            try:
+                c = complex(c)
+            except OverflowError as exc:
+                raise SeriesDivergenceError(f"series blew up at term {k}: {exc}") from exc
+            incs = (c if c.imag else c.real) * v
+            if e:
+                incs = _ldexp(incs, e)
+            d = d + incs
+            if not np.isfinite(d).all():
+                raise SeriesDivergenceError(f"series blew up at term {k}: a d_l left float range")
+            tail = float(np.where(incs != 0, np.abs(incs) / np.abs(d), 0.0).max())
+            terms = k + 1
+            seen_nonzero = seen_nonzero or bool(incs.any())
+            if truncation is None and seen_nonzero:
+                small_streak = small_streak + 1 if tail <= tail_tol else 0
+                if small_streak >= _SMALL_STREAK:
+                    break
     try:
-        matrix = ring_taylor(d, nilpotent_part(work))
+        matrix = ring_taylor(d.tolist(), nilpotent_part(work))
     except ScalarError as exc:
         raise SeriesDivergenceError(f"series blew up: {exc}") from exc
     return SeriesTransformResult(matrix=matrix, terms_used=terms, tail_bound=tail)

@@ -173,6 +173,11 @@ class TestArithmeticErrors:
         self._transform(tmp_path, capsys, "complex", [[1e200, 1.0]],
                         "--function", '{"kind":"power","alpha":3}')
 
+    def test_overflow_in_a_real_chain(self, tmp_path, capsys):
+        # Real entries are stored and multiplied in float64; G <> G still overflows to exit 2.
+        self._transform(tmp_path, capsys, "complex", [[0.5, 1e200], [1e200, 1e200]],
+                        "--function", '{"kind":"exp"}')
+
     def test_step_power_underflow(self, tmp_path, capsys):
         self._transform(tmp_path, capsys, "complex", [[1.0] * 200],
                         "--function", '{"kind":"exp"}', "--mode", "stepped", "--h", "0.001")
@@ -245,6 +250,8 @@ class TestPartitionsCommand:
         assert "# 1 partitions" in out
 
     def test_cap_overrun_exits_two(self, monkeypatch, capsys):
+        # An empty cache, so the cap is reached whatever other tests enumerated first.
+        monkeypatch.setattr(partitions_mod, "_cache", {})
         monkeypatch.setattr(partitions_mod, "PARTITION_CAP", 50)
         code = main(["partitions", "--rows", "6", "--cols", "6",
                      "--ell", "5", "--target", "5,5"])

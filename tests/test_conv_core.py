@@ -23,6 +23,7 @@ from juryconv import (
     conv_inverse_recursive,
     conv_power_naive,
     conv_power_squaring,
+    is_psd,
     sample_psd,
     scale,
     transpose,
@@ -464,13 +465,17 @@ class TestRingTaylor:
                 assert len(calls) == 1
 
     def test_overflow_inside_chain_surfaces(self):
-        # Validation runs once, on the result: a chain that overflows still raises.
+        # Validation runs once, on the result: a chain that overflows still raises,
+        # here on the float64 route, as the entries are real.
         big = ConvMatrix.floats([[0.5, 1e200], [1e200, 1e200]])
+        assert big.to_numpy().dtype == np.float64
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for x in (big, nilpotent_part(big)):
                 with pytest.raises(ScalarError):
                     ring_taylor([1.0, 1.0, 1.0], x)
+            with pytest.raises(ScalarError):
+                conv(big, big)
 
 
 def _storage(m):
@@ -589,6 +594,24 @@ class TestExactOracles:
         self._assert_routes(a, [rand_fraction(rng) for _ in range(sum(shape) - 1)])
         self._assert_routes(-a, [rand_fraction(rng) for _ in range(3)])
 
+    @pytest.mark.parametrize("shape", [(24, 2), (2, 24), (12, 3), (5, 5), (64, 1)])
+    def test_integer_routes_run_wide(self, shape, monkeypatch):
+        # A tall shape runs on its transpose (both products commute with it); results are exact.
+        rng = random.Random(shape[0] * 67 + shape[1])
+        a, b = rand_invertible_matrix(rng, *shape), rand_rational_matrix(rng, *shape)
+        cs = [rand_fraction(rng) for _ in range(sum(shape) - 1)]
+        wide = []
+        for name in ("_int_window", "_int_inverse"):
+            route = getattr(conv_core, name)
+            monkeypatch.setattr(conv_core, name, lambda x, *rest, route=route:
+                                wide.append(len(x) <= len(x[0])) or route(x, *rest))
+        self._assert_routes(a, cs)
+        assert conv(a, b) == _conv_reference(a, b) == transpose(conv(transpose(a), transpose(b)))
+        padded = conv_core.padded_conv(a, b)
+        assert padded == transpose(conv_core.padded_conv(transpose(a), transpose(b)))
+        assert ConvMatrix.rational([row[:shape[1]] for row in padded.data[:shape[0]]]) == conv(a, b)
+        assert wide and all(wide)
+
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from([(1, 1), (3, 3), (1, 6), (6, 1), (4, 3)]), st.data())
     def test_coprime_strategy(self, shape, data):
@@ -667,6 +690,19 @@ class TestComplexChain:
         for origin in (nilpotent_part(x), x):
             assert_chain_bound(ring_taylor, cs, origin)
 
+    @pytest.mark.parametrize("run", [1, 7, 20])
+    @pytest.mark.parametrize("budget", [1, 50])
+    @pytest.mark.parametrize("shape", [(8, 8), (5, 3), (2, 9)])
+    def test_runs(self, shape, budget, run, monkeypatch):
+        # Runs of 1, 7 and 20 products split each entry's sum unevenly, within row blocks too.
+        monkeypatch.setattr(conv_core, "_CHAIN_GATHER_BUDGET", budget)
+        monkeypatch.setattr(conv_core, "_CHAIN_RUN", run)
+        rng = np.random.default_rng([*shape, budget, run])
+        x = _real_matrix(rng, *shape)
+        cs = list(rng.uniform(-1, 1, sum(shape) - 1))
+        for origin in (nilpotent_part(x), x, _complex_matrix(rng, *shape)):
+            assert_chain_bound(ring_taylor, cs, origin)
+
     def test_row_blocks_48(self):
         # At the default budget a 48x48 chain runs in two blocks of rows.
         assert conv_core._CHAIN_GATHER_BUDGET // (48 * 48) < 48
@@ -707,6 +743,120 @@ class TestComplexChain:
             want[0] += c
             mag[0] += abs(c)
         assert (np.abs(got - want) <= 20 * float(gamma(3002)) * mag).all()
+
+
+def _real_matrix(rng, m, n):
+    return ConvMatrix.from_numpy(rng.uniform(-1, 1, (m, n)))
+
+
+def _complex_stored(m):
+    """``m``'s values held as complex128 whatever they are: the storage before the real rule."""
+    out = ConvMatrix.__new__(ConvMatrix)
+    out._adopt(m.rows, m.cols, m.to_numpy().astype(np.complex128), "complex", 1)
+    return out
+
+
+def _bits(m):
+    """The complex128 bit patterns of a matrix's entries, for bit-for-bit comparison."""
+    return m.to_numpy().astype(np.complex128).view(np.uint64)
+
+
+class TestRealStorage:
+    """Complex-backend storage is float64 exactly when no entry has a nonzero imaginary part."""
+
+    @staticmethod
+    def _assert_dtype(m, real):
+        arr = m.to_numpy()
+        assert arr.dtype == (np.float64 if real else np.complex128)
+        assert real or arr.imag.any()
+
+    def test_construction(self):
+        for real, rows in [
+            (True, [[1.0, 2.0], [0.0, -3.0]]),
+            (True, [[1 + 0j, 2], [0j, -3]]),
+            (True, [[complex(1, -0.0), 2.0], [complex(0, -0.0), 3]]),
+            (False, [[1.0, 2.0], [1e-300j, 3.0]]),
+        ]:
+            for m in (ConvMatrix.floats(rows), ConvMatrix.from_numpy(np.array(rows, dtype=complex))):
+                self._assert_dtype(m, real)
+        self._assert_dtype(ConvMatrix.from_numpy(np.arange(6).reshape(2, 3)), True)
+        self._assert_dtype(ConvMatrix.zeros(2, 3, "complex"), True)
+        self._assert_dtype(ConvMatrix.rational([["1/3", 2], [0, "-5/7"]]).astype("complex"), True)
+
+    def test_results(self):
+        rng = np.random.default_rng(101)
+        x, y, z = _real_matrix(rng, 4, 5), _real_matrix(rng, 4, 5), _complex_matrix(rng, 4, 5)
+        g = nilpotent_part(x)
+        cases = [
+            (True, conv(x, y)), (True, transpose(x)), (True, add(x, y)), (True, scale(2.5, x)),
+            (True, scale(complex(-2, 0), x)), (True, scale(1j, scale(1j, x))),
+            (True, ring_taylor([1.0, 0.5, 2.0], x)), (True, ring_taylor([1.0] * 8, g)),
+            (True, conv_inverse_recursive(x)), (True, conv_inverse_ch(x)),
+            (True, add(z, scale(-1, z))), (True, conv_identity(4, 5, "complex")),
+            (False, conv(x, z)), (False, conv(z, z)), (False, add(x, z)), (False, scale(1j, x)),
+            (False, ring_taylor([1.0, 0.5j, 2.0], x)), (False, ring_taylor([1.0, 2.0], z)),
+            (False, conv_inverse_recursive(z)), (False, conv_inverse_ch(z)),
+        ]
+        for real, m in cases:
+            self._assert_dtype(m, real)
+
+    def test_reads_do_not_see_the_dtype(self):
+        rng = np.random.default_rng(103)
+        vals = rng.uniform(-1, 1, (3, 4))
+        x = ConvMatrix.from_numpy(vals)
+        for y in (ConvMatrix.from_numpy(vals + 0j), ConvMatrix.floats(vals.tolist()),
+                  ConvMatrix(3, 4, tuple(tuple(complex(v) for v in row) for row in vals.tolist()),
+                             "complex"),
+                  pickle.loads(pickle.dumps(x))):
+            assert y == x and hash(y) == hash(x)
+            assert pickle.dumps(y) == pickle.dumps(x)
+            assert y.to_json() == x.to_json() and repr(y) == repr(x)
+            assert y.data == x.data and y.to_numpy().dtype == np.float64
+        assert type(x[1, 2]) is complex and x[1, 2] == vals[1, 2]
+        assert all(type(v) is complex for row in x.data for v in row)
+        assert x.is_real() and x.to_csv() == ConvMatrix.from_csv(x.to_csv()).to_csv()
+
+    def test_mixed_operands_bit_identical_to_complex128(self):
+        # A real operand meets a complex one as its complex128 storage would.
+        rng = np.random.default_rng(107)
+        for shape in [(8, 8), (3, 12), (12, 3)]:
+            x, z = _real_matrix(rng, *shape), _complex_matrix(rng, *shape)
+            xc = _complex_stored(x)
+            cs = list(rng.uniform(-1, 1, sum(shape)) + 1j * rng.uniform(-1, 1, sum(shape)))
+            pairs = [
+                (conv(x, z), conv(xc, z)), (conv(z, x), conv(z, xc)),
+                (conv_core.padded_conv(x, z), conv_core.padded_conv(xc, z)),
+                (add(x, z), add(xc, z)), (scale(0.5 - 2j, x), scale(0.5 - 2j, xc)),
+                (ring_taylor(cs, x), ring_taylor(cs, xc)),
+                (ring_taylor(cs, nilpotent_part(x)), ring_taylor(cs, nilpotent_part(xc))),
+                (conv_core._power_solve(x, 0.5, 1 + 1j), conv_core._power_solve(xc, 0.5, 1 + 1j)),
+                (conv_inverse_recursive(z), conv_inverse_recursive(_complex_stored(z))),
+            ]
+            for got, want in pairs:
+                assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("shape", [(8, 8), (32, 32), (3, 12)])
+    def test_bounds_on_the_real_route(self, shape):
+        # The kernel's gamma_(k+2) bounds, checked exactly, with every operand in float64.
+        rng = np.random.default_rng([*shape, 109])
+        a, b = _real_matrix(rng, *shape), _real_matrix(rng, *shape)
+        a = add(a, scale(2.0, conv_identity(*shape, "complex")))
+        assert a.to_numpy().dtype == b.to_numpy().dtype == np.float64
+        assert_entrywise_bound(conv, a, b, conv(a, b))
+        assert_entrywise_bound(conv, a, conv_inverse_recursive(a), conv_identity(*shape, "complex"))
+        cs = list(rng.uniform(-1, 1, 5))  # each step is checked exactly: a few suffice at 32x32
+        for origin in (nilpotent_part(a), a):
+            assert_chain_bound(ring_taylor, cs, origin)
+
+    def test_is_psd_runs_the_real_solver(self, monkeypatch):
+        seen, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.dtype) or eigvalsh(a))
+        a = sample_psd(6, rng=3)
+        verdict = is_psd(a)
+        assert seen == [np.float64] and verdict.is_psd
+        hermitian = is_psd(_complex_stored(a))
+        assert seen[1] == np.complex128 and hermitian.is_psd
+        assert abs(hermitian.min_eigenvalue - verdict.min_eigenvalue) <= 1e-14 * verdict.scale
 
 
 class TestElementwiseOps:

@@ -478,6 +478,7 @@ class TestSeriesFold:
     """The stream folds into the M+N-1 Taylor coefficients d_l of one ring_taylor call."""
 
     EXP = [1 / math.factorial(k) for k in range(120)]
+    EXP_400 = [1 / math.factorial(k) for k in range(400)]
 
     def test_zero_origin_keeps_every_coefficient(self):
         # At a00 = 0, d_l = c_l exactly: stopping before k = M+N-2 drops the high d_l.
@@ -506,6 +507,60 @@ class TestSeriesFold:
         got = series_transform(self.EXP, a).matrix
         err = max(abs(complex(got[i, j]) - complex(want[i, j])) for i, j in want.indices())
         assert err <= 1e-14 * want.max_abs()
+
+    @staticmethod
+    def _folded(stream, a, monkeypatch):
+        """The d_l that series_transform hands to ring_taylor, as complex."""
+        seen, chain = [], transforms.ring_taylor
+        monkeypatch.setattr(transforms, "ring_taylor",
+                            lambda cs, x: seen.append([complex(c) for c in cs]) or chain(cs, x))
+        result = series_transform(stream, a)
+        return seen[0], result
+
+    @staticmethod
+    def _list_fold(stream, a):
+        """The fold on Python complex lists, term by term, with no rescaling and no tail test."""
+        a00 = complex(a[0, 0])
+        d = [0j] * (a.rows + a.cols - 1)
+        v = [1 + 0j] + d[1:]
+        for k, c in enumerate(stream):
+            if k:
+                v = [a00 * x + y for x, y in zip(v, [0j] + v[:-1])]
+            d = [x + complex(c) * y for x, y in zip(d, v)]
+        return d
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_fold_matches_the_list_fold(self, n, monkeypatch):
+        # Below the shift threshold the vector fold is the unscaled one, bit for bit.
+        a = sample_psd(n, Interval(1.0), np.random.default_rng([19, n, 3]))
+        d, result = self._folded(self.EXP, a, monkeypatch)
+        assert d == self._list_fold(self.EXP[:result.terms_used], a)
+
+    def test_exponent_shift_is_exact(self, monkeypatch):
+        # Forcing a shift at every step changes no bit while v stays in the normal range.
+        a = sample_psd(6, Interval(1.0), np.random.default_rng([19, 6, 3]))
+        a = a + ConvMatrix.floats([[3.0] + [0.0] * 5] + [[0.0] * 6] * 5)
+        want, _ = self._folded(self.EXP, a, monkeypatch)
+        monkeypatch.setattr(transforms, "_FOLD_RESCALE", 2.0 ** 3)
+        got, _ = self._folded(self.EXP, a, monkeypatch)
+        assert got == want
+
+    def test_large_base_point_against_the_closed_form(self):
+        # v_0 = 90^k leaves float range at k = 158 (where the unscaled fold overflowed);
+        # the terms c_k v_l stay finite and the stream's own tail reaches 1e-12 by k = 168.
+        result = series_transform(self.EXP_400, ConvMatrix.floats([[90.0, 1.0]]))
+        want = math.exp(90.0)
+        assert all(abs(complex(v) - want) <= 1e-12 * want for v in result.matrix.data[0])
+
+    def test_large_base_point_folds_the_stream(self):
+        # At a00 = 300 v_0 overflowed at term 125.  1/k! is 0 in floats from k = 178 on, so the
+        # stream's sum is far below e^300; the fold must match that sum, taken exactly.
+        result = series_transform(self.EXP_400, ConvMatrix.floats([[300.0, 1.0]]))
+        cs = [Fraction(c) for c in self.EXP_400[:result.terms_used]]
+        want = [sum(c * 300 ** k for k, c in enumerate(cs)),
+                sum(c * k * 300 ** (k - 1) for k, c in enumerate(cs) if k)]
+        for got, w in zip(result.matrix.data[0], want):
+            assert abs(Fraction(complex(got).real) - w) <= Fraction(1, 10 ** 14) * w
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (5, 5)])
     def test_kernel_calls_fixed_by_shape(self, shape, monkeypatch):
