@@ -44,6 +44,7 @@ from .transforms import (
     divided_difference,
     factorial_frame,
     forward_difference,
+    forward_differences,
     poly_transform,
     series_transform,
     smooth_transform,
@@ -133,6 +134,7 @@ __all__ = [
     "enumerate_partitions",
     "factorial_frame",
     "forward_difference",
+    "forward_differences",
     "fractional_power_study",
     "horn_witness",
     "is_psd",

@@ -18,7 +18,6 @@ from typing import Mapping, Union
 
 RATIONAL = "rational"
 COMPLEX = "complex"
-BACKENDS = (RATIONAL, COMPLEX)
 
 Scalar = Union[Fraction, complex]
 

@@ -29,7 +29,7 @@ from .conv_core import ConvMatrix, conv
 from .transforms import (
     FunctionSpec,
     bivariate_power_matrix,
-    forward_difference,
+    forward_differences,
     smooth_transform,
     stepped_transform,
 )
@@ -50,9 +50,6 @@ class Interval:
     def __post_init__(self):
         if self.rho <= 0:
             raise ValueError(f"interval upper bound must be > 0, got {self.rho}")
-
-    def contains(self, x: float) -> bool:
-        return 0 < x < self.rho
 
     def midpoint(self) -> float:
         return 1.0 if math.isinf(self.rho) else self.rho / 2
@@ -497,11 +494,17 @@ def difference_operator_report(f: FunctionSpec, n: int,
     """Sampled forward differences of f, plus the witness-family diagonals.
 
     Draws (x, h) with the whole node range x, x+h, ..., x+2(n-1)h inside
-    the interval, evaluates the forward differences of order < n, and
-    runs the stepped transform on the shifted diagonal witness
+    the interval, takes the forward differences of order < n from one
+    :func:`forward_differences` table per trial, and runs the stepped
+    transform on the shifted diagonal witness
     diag(x-eps, x-eps, 0, ...) + eps * ones, whose diagonal carries
-    (1/k!) x^k times the divided differences.
+    (1/k!) x^k times the divided differences.  Needs n >= 1 and
+    trials >= 1: the minima are over a nonempty set.
     """
+    if n < 1:
+        raise ValueError(f"matrix size must be >= 1, got {n}")
+    if trials < 1:
+        raise ValueError(f"trial count must be >= 1, got {trials}")
     gen = np.random.default_rng(rng_seed)
     rows = []
     min_diff = math.inf
@@ -511,7 +514,7 @@ def difference_operator_report(f: FunctionSpec, n: int,
         x = gen.uniform(0.05 * hi, 0.6 * hi)
         h_cap = (hi - x) / (2 * (n - 1)) if n > 1 else hi
         h = gen.uniform(0.05, 0.95) * h_cap
-        diffs = [forward_difference(f, x, h, ell) for ell in range(n)]
+        diffs = forward_differences(f, x, h, n - 1)
         eps = x / 50
         witness_rows = [[eps] * n for _ in range(n)]
         witness_rows[0][0] += x - eps

@@ -234,8 +234,9 @@ def _diag_unit_walk(cap: int) -> list:
     """Padded powers of diag(0, 1) place a single unit at (n, n)."""
     a = ConvMatrix.rational([[0, 0], [0, 1]])
     rows = []
+    p = padded_power(a, 0)
     for n in range(1, cap + 1):
-        p = padded_power(a, n)
+        p = padded_conv(p, a)
         ok = p.shape == (n + 1, n + 1)
         for (i, j) in p.indices():
             expect = Fraction(1) if (i, j) == (n, n) else Fraction(0)
@@ -271,8 +272,9 @@ def _non_annihilation(cap: int) -> list:
         shifted = nilpotent_part(a)
         ok = True
         observed = []
+        p = padded_power(shifted, 0)
         for kappa in range(1, cap + 1):
-            p = padded_power(shifted, kappa)
+            p = padded_conv(p, shifted)
             entry = p.data[kappa * i][kappa * j]
             bound = a.data[i][j] ** kappa
             observed.append(str(entry))

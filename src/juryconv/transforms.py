@@ -301,37 +301,46 @@ def _json_field(payload: dict, name: str, types, what: str):
 # difference operators
 # ----------------------------------------------------------------------
 
-def forward_difference(f: FunctionSpec, x, h, ell: int):
-    """ell-th forward difference sum_j C(ell,j) (-1)^(ell-j) f(x + j h).
+def forward_differences(f: FunctionSpec, x, h, order: int) -> list:
+    """Forward differences of orders 0..order at x, from one table of node values.
 
-    All nodes x + j h for j in [0:ell] must lie in the domain of f; the
-    first offending node is reported.  Exact when f and the points are.
+    Entry ell is sum_j C(ell,j) (-1)^(ell-j) f(x + j h), summed with j
+    ascending.  All nodes x + j h for j in [0:order] must lie in the
+    domain of f; the first offending node is reported.  f is evaluated
+    once per node.  Exact when f and the points are.
     """
-    if ell < 0:
-        raise ValueError(f"difference order must be >= 0, got {ell}")
+    if order < 0:
+        raise ValueError(f"difference order must be >= 0, got {order}")
     if h <= 0:
         raise ValueError(f"step size must be > 0, got {h}")
     x = _as_real(x, "forward difference")
-    for j in range(ell + 1):
-        node = x + j * h
+    nodes = [x + j * h for j in range(order + 1)]
+    for j, node in enumerate(nodes):
         if not f.domain_contains(node):
             raise DomainError(
                 f"node x + {j}h = {node} leaves the domain of kind {f.kind!r}",
                 node=node,
             )
-    acc = 0
-    for j in range(ell + 1):
-        sign = -1 if (ell - j) % 2 else 1
-        acc = acc + sign * numerics.binomial(ell, j) * f.value(x + j * h)
-    return acc
+    values = [f.value(node) for node in nodes]
+    out = []
+    for ell in range(order + 1):
+        acc = 0
+        for j in range(ell + 1):
+            sign = -1 if (ell - j) % 2 else 1
+            acc = acc + sign * numerics.binomial(ell, j) * values[j]
+        out.append(acc)
+    return out
+
+
+def forward_difference(f: FunctionSpec, x, h, ell: int):
+    """ell-th forward difference: the last entry of :func:`forward_differences`."""
+    return forward_differences(f, x, h, ell)[ell]
 
 
 def divided_difference(f: FunctionSpec, x, h, ell: int):
     """ell-th divided difference: the forward difference divided by h^ell."""
     fd = forward_difference(f, x, h, ell)
-    if ell == 0:
-        return fd
-    return fd / h ** ell
+    return fd if ell == 0 else fd / h ** ell
 
 
 # ----------------------------------------------------------------------
@@ -411,25 +420,18 @@ def stepped_transform(f: FunctionSpec, a: ConvMatrix, h) -> ConvMatrix:
 
     Well-defined for any scalar function provided the nodes
     a00 + k h for k in [0:M+N-2] lie in the domain; the first node
-    violation is reported by name.
+    violation is reported by name.  The divided differences of every
+    order come from one :func:`forward_differences` table, so f is
+    evaluated M+N-1 times.
     """
-    if h <= 0:
-        raise ValueError(f"step size must be > 0, got {h}")
     order = a.rows + a.cols - 2
-    a00 = a[0, 0]
-    x0 = _as_real(a00, f.kind)
-    for k in range(order + 1):
-        node = x0 + k * h
-        if not f.domain_contains(node):
-            raise DomainError(
-                f"node a00 + {k}h = {node} leaves the domain of kind {f.kind!r}",
-                node=node,
-            )
+    x0 = _as_real(a[0, 0], f.kind)
     exact = (f.is_exact and a.scalar == RATIONAL
              and isinstance(h, (int, Fraction)) and not isinstance(h, bool))
-    work = a if exact else a.astype(COMPLEX)
     hval = Fraction(h) if exact else float(h)
-    divs = [divided_difference(f, x0, hval, ell) for ell in range(order + 1)]
+    diffs = forward_differences(f, x0, hval, order)
+    work = a if exact else a.astype(COMPLEX)
+    divs = [fd if ell == 0 else fd / hval ** ell for ell, fd in enumerate(diffs)]
     return ring_taylor(_taylor(divs, exact), nilpotent_part(work))
 
 

@@ -1,6 +1,7 @@
 """Shared random generators for the exact-arithmetic test suites."""
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -286,3 +287,12 @@ def vanishing_degree(a: ConvMatrix) -> int:
                for i in range(a.rows) for j in range(a.cols) if i + j >= kappa):
             return kappa
     return d
+
+
+def forward_difference_reference(f, x, h, ell: int):
+    """One order at a time: sum_j C(ell,j) (-1)^(ell-j) f(x + j h), j ascending, f evaluated afresh."""
+    acc = 0
+    for j in range(ell + 1):
+        sign = -1 if (ell - j) % 2 else 1
+        acc = acc + sign * math.comb(ell, j) * f.value(x + j * h)
+    return acc

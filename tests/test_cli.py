@@ -320,6 +320,27 @@ class TestSuites:
         err = capsys.readouterr().err
         assert err == "error: series did not settle within 10 terms\n"
 
+    @pytest.mark.parametrize("name", sorted(cli.SUITES))
+    @pytest.mark.parametrize("extra", [["--n", "0"], ["--n", "-2"],
+                                       ["--trials", "0"], ["--tol", "-1"]])
+    def test_out_of_range_arguments_keep_exit_contract(self, name, extra, capsys):
+        def reject(constant):
+            raise ValueError(f"report holds {constant}, which is not JSON")
+
+        code = main(["suite", name, *extra])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2)
+        if captured.out:
+            json.loads(captured.out, parse_constant=reject)
+        if code == 2:
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_negative_or_nan_tol_names_the_flag(self, capsys):
+        for tol in ("-1", "nan"):
+            assert main(["suite", "prob", "--tol", tol]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: --tol") and err.count("\n") == 1
+
     def test_seed_recorded_in_report(self, capsys):
         assert main(["suite", "bruhat", "--n", "3", "--seed", "77"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -259,6 +259,11 @@ class TestDifferenceOperators:
         assert rep.min_difference >= 0
         assert rep.min_witness_diagonal >= -1e-10
 
+    @pytest.mark.parametrize("n, trials", [(0, 5), (-3, 5), (3, 0)])
+    def test_report_rejects_empty_ranges(self, n, trials):
+        with pytest.raises(ValueError):
+            difference_operator_report(FunctionSpec.exp(), n=n, trials=trials)
+
     def test_forward_difference_of_exp_closed_form(self):
         # Delta_h^l exp(x) = e^x (e^h - 1)^l
         f = FunctionSpec.exp()

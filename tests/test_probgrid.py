@@ -20,7 +20,7 @@ from juryconv import (
     semiinfinite_checks,
     sum_distribution,
 )
-from juryconv import numerics
+from juryconv import numerics, probgrid
 from juryconv.probgrid import embed, padded_poly_action
 
 from helpers import (
@@ -318,6 +318,15 @@ class TestSemiInfinite:
         assert rep.all_ok
         walk_rows = [r for r in rep.diagonal_walk if r["n"] != "poly"]
         assert [r["n"] for r in walk_rows] == [1, 2, 3, 4, 5, 6]
+
+    def test_one_running_product_per_case(self, monkeypatch):
+        # Each of the 4 walks extends one product cap times: 24 padded products at cap 6.
+        calls = []
+        real = probgrid.padded_conv
+        monkeypatch.setattr(probgrid, "padded_conv",
+                            lambda a, b: calls.append(1) or real(a, b))
+        assert semiinfinite_checks(cap=6).all_ok
+        assert len(calls) == 24
 
     def test_diag_unit_square(self):
         a = ConvMatrix.rational([[0, 0], [0, 1]])

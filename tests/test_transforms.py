@@ -22,6 +22,7 @@ from juryconv import (
     divided_difference,
     factorial_frame,
     forward_difference,
+    forward_differences,
     poly_transform,
     series_transform,
     smooth_transform,
@@ -34,6 +35,7 @@ from juryconv.conv_core import matrices_close, nilpotent_part, ring_taylor
 
 from helpers import (
     assert_power_bound,
+    forward_difference_reference,
     normwise_error,
     power_reference,
     rand_fraction,
@@ -191,6 +193,53 @@ class TestDifferences:
         with pytest.raises(DomainError) as err:
             forward_difference(f, 0.5, 0.3, 2)
         assert err.value.node == pytest.approx(1.1)
+
+    # (f, x, h) per kind: exact rationals for poly, floats for every kind.
+    TABLE_CASES = [
+        (FunctionSpec.exp(), 0.3, 0.07),
+        (FunctionSpec.polynomial([Fraction(1, 3), -2, 0, Fraction(5, 7), 1]),
+         Fraction(-2, 5), Fraction(3, 11)),
+        (FunctionSpec.polynomial([0.5, -1.25, 3.0, 0.1]), -0.7, 0.13),
+        (FunctionSpec.series([1.0, -0.5, 0.25, 0.125, -2.0], radius=2.0), -0.9, 0.1),
+        (FunctionSpec.power(0.5), 0.2, 0.05),
+        (FunctionSpec.power(-1.5), 1.1, 0.3),
+    ]
+
+    @staticmethod
+    def _identical(got, want):
+        # == on rationals; the same type and bits on floats.
+        assert type(got) is type(want) and got == want
+        if isinstance(want, float):
+            assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("case", range(len(TABLE_CASES)))
+    def test_table_matches_per_order_reference(self, case):
+        f, x, h = self.TABLE_CASES[case]
+        for order in range(15):
+            table = forward_differences(f, x, h, order)
+            assert len(table) == order + 1
+            for ell, got in enumerate(table):
+                self._identical(got, forward_difference_reference(f, x, h, ell))
+            self._identical(forward_difference(f, x, h, order), table[order])
+
+    def test_table_validates_order_and_step(self):
+        f = FunctionSpec.exp()
+        with pytest.raises(ValueError, match="order"):
+            forward_differences(f, 0.0, 0.1, -1)
+        with pytest.raises(ValueError, match="step size"):
+            forward_differences(f, 0.0, 0.0, 2)
+
+    def test_table_names_first_bad_node_before_evaluating(self, monkeypatch):
+        f = FunctionSpec.power(0.5)
+        calls = []
+        monkeypatch.setattr(FunctionSpec, "value", lambda self, x: calls.append(x))
+        with pytest.raises(DomainError) as err:
+            forward_differences(f, -0.25, 0.1, 5)
+        assert err.value.node == pytest.approx(-0.25) and "x + 0h" in str(err.value)
+        with pytest.raises(DomainError) as err:
+            forward_differences(FunctionSpec.series([1.0], radius=1.0), 0.5, 0.3, 4)
+        assert err.value.node == pytest.approx(1.1) and "x + 2h" in str(err.value)
+        assert calls == []
 
     def test_first_order_convergence_for_exp(self):
         # halving h roughly halves the divided-difference error
@@ -374,6 +423,21 @@ class TestSteppedTransform:
         a = rand_rational_matrix(rng, 3, 2)
         for h in (Fraction(1, 7), Fraction(2), Fraction(11, 3)):
             assert stepped_transform(f, a, h) == smooth_transform(f, a)
+
+    @pytest.mark.parametrize("f, a, h", [
+        (FunctionSpec.exp(), sample_psd(8, Interval(1.0), rng=61), 0.1),
+        (FunctionSpec.power(0.5), sample_psd(8, Interval(1.0), rng=61), 0.1),
+        (FunctionSpec.polynomial([1, -2, 3]), ConvMatrix.rational([[Fraction(1, 2)] * 8] * 8),
+         Fraction(1, 10)),
+    ], ids=["exp", "power", "rational_poly"])
+    def test_one_evaluation_per_node(self, f, a, h, monkeypatch):
+        # 8x8 has order 14: 15 nodes, each evaluated once.
+        calls = []
+        value = FunctionSpec.value
+        monkeypatch.setattr(FunctionSpec, "value",
+                            lambda self, x: calls.append(x) or value(self, x))
+        stepped_transform(f, a, h)
+        assert len(calls) == 15
 
     def test_node_violation_named(self):
         a = ConvMatrix.floats([[0.5, 0.1], [0.1, 0.1]])
