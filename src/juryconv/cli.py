@@ -402,6 +402,9 @@ SUITES = {
 
 
 def cmd_suite(args) -> int:
+    for flag, value in (("--n", args.n), ("--trials", args.trials)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     if not args.tol >= 0:
         raise ScalarError(f"--tol must be >= 0, got {args.tol}")
     cfg = RunConfig(

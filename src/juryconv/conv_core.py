@@ -32,34 +32,41 @@ view built on first use), JSON and CSV.
 
 The convolution sum itself is written once, in :func:`_conv_window`,
 which maps two storage arrays to a top-left window of their full 2-D
-convolution, an array again.  On the rational backend it sums Python
-ints, N_a and N_b, in :func:`_int_window`; the result lies over
-d_a d_b, and one content-gcd pass brings it to lowest terms.  Integer
-sums are exact, so the result is the one the Fraction arithmetic would
-give, at a fraction of its cost.  On the complex backend it is a sum of
-BLAS products with Toeplitz blocks (:func:`_gemm_window`), with an
-entrywise error bound and exact structural zeros; the complex kernels
-compute in ``float64`` when every operand and coefficient is real, and
-in ``complex128`` otherwise.  The ring product
-:func:`conv` is its M x N window and is defined only for equal shapes;
-the padded, shape-growing product :func:`padded_conv` is its
-(M1+M2-1) x (N1+N2-1) window, re-exported by :mod:`juryconv.probgrid`
-for grid distributions.  Each wraps one result array as a
-:class:`ConvMatrix`.  The rational Horner chain of :func:`ring_taylor`
-and the rational back-substitution inverse run on rows of ints over one
-running denominator, with :func:`_int_window` and :func:`_int_dot`, and
-wrap their result once.  A complex Horner chain holds one factor fixed,
-so it has its own route, :func:`_gemm_chain`: X's Toeplitz blocks
-stacked once, and one batched matmul per block of rows per step (runs
-of at most _CHAIN_RUN products per entry), with the kernel's entrywise
-bound at every step.
+convolution, an array again.  On the rational backend it sums the
+integers N_a and N_b; the result lies over d_a d_b, and one content-gcd
+pass brings it to lowest terms.  Integer sums are exact, so the result
+is the one the Fraction arithmetic would give, at a fraction of its
+cost.  They run on int64 words (the word route, :func:`_word_product`)
+when a bound read from the operands proves every sum fits:
+max|N_a| max|N_b| terms <= 2^63 - 1, terms being the most products in
+one entry.  Otherwise, and whenever an entry does not fit an int64,
+they run on Python ints (the loop, :func:`_int_window`).  On the
+complex backend it is a sum of BLAS products with Toeplitz blocks
+(:func:`_gemm_window`), with an entrywise error bound and exact
+structural zeros; the complex kernels compute in ``float64`` when every
+operand and coefficient is real, and in ``complex128`` otherwise.  The
+ring product :func:`conv` is its M x N window and is defined only for
+equal shapes; the padded, shape-growing product :func:`padded_conv` is
+its (M1+M2-1) x (N1+N2-1) window, re-exported by
+:mod:`juryconv.probgrid` for grid distributions.  Each wraps one result
+array as a :class:`ConvMatrix`.
+
+A Horner chain holds one factor X fixed, so X's Toeplitz blocks are
+stacked once per chain (:func:`_toeplitz_stack`).  The rational chain
+of :func:`ring_taylor` keeps R in int64 words over one running
+denominator while each step passes the same bound and a check on its
+rescale and origin add, then finishes on the loop
+(:func:`_rational_chain`).  The complex chain, :func:`_gemm_chain`, is
+one batched matmul per block of rows per step (runs of at most
+_CHAIN_RUN products per entry), with the kernel's entrywise bound at
+every step.  The rational back-substitution inverse runs on rows of
+ints over one running denominator (:func:`_int_inverse`).
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import operator
@@ -467,12 +474,18 @@ def _conv_window(a: np.ndarray, b: np.ndarray, rows: int, cols: int) -> np.ndarr
     :func:`conv` and :func:`padded_conv`.
 
     On the rational backend the operands are numerator arrays, and the
-    window is :func:`_int_window` of their rows: integer sums, exact in
-    any order, which the caller puts over d_a d_b and brings to lowest
-    terms in one content-gcd pass (:func:`_matrix`).  A tall window runs
-    on the transposes (conv commutes with transposition): each term of
-    an entry's sum pairs two rows, so few long rows cost less than many
-    short ones.
+    window is their integer sums, which the caller puts over d_a d_b and
+    brings to lowest terms in one content-gcd pass (:func:`_matrix`).
+    When both fit int64 and max|a| max|b| terms <= 2^63 - 1, with terms
+    = min(M_a, M_b, rows) min(N_a, N_b, cols) the most products in one
+    entry, every partial sum fits a word in any order, and the window is
+    one int64 matmul (:func:`_word_product`, X = b stacked by
+    :func:`_word_side`).  Otherwise it is :func:`_int_window` of their
+    rows, on Python ints.  Both are exact, so the bound alone picks the
+    route.  A tall window runs on the transposes (conv commutes with
+    transposition): each term of the loop's sums pairs two rows, so few
+    long rows cost less than many short ones, and the word route's
+    per-call gather is the smaller one.
 
     On the complex backend one route serves every shape,
     :func:`_gemm_window` (complex chains run :func:`_gemm_chain`, which
@@ -502,7 +515,16 @@ def _conv_window(a: np.ndarray, b: np.ndarray, rows: int, cols: int) -> np.ndarr
         return _gemm_window(a, b, rows, cols)
     if rows > cols:
         return _conv_window(a.T, b.T, cols, rows).T
-    return np.array(_int_window(a.tolist(), b.tolist(), rows, cols), dtype=object)
+    wa, wb = _words(a), _words(b)
+    terms = min(a.shape[0], b.shape[0], rows) * min(a.shape[1], b.shape[1], cols)
+    if wa is None or wb is None or wa[1] * wb[1] * terms > _WORD_MAX:
+        return np.array(_int_window(a.tolist(), b.tolist(), rows, cols), dtype=object)
+    nr = min(a.shape[1], cols)
+    side = _word_side(wb[0], nr, rows, cols)
+    top = side[1].shape[1] - 1
+    padded = np.zeros((top + rows, nr), dtype=np.int64)
+    padded[top:top + min(a.shape[0], rows)] = wa[0][:rows, :nr]
+    return _word_product(padded, side).astype(object)
 
 
 def _int_window(a: list, b: list, rows: int, cols: int, top: Optional[int] = None) -> list:
@@ -532,17 +554,81 @@ def _int_dot(pairs: list, ks: range, j: int) -> int:
     return acc
 
 
-def _toeplitz_rows(a: np.ndarray, nb: int, cols: int):
-    """(padded, index) with ``padded[l, index]`` = T_l, T_l[m, j] = a[l, j-m].
+# The largest int64.  An integer sum whose terms' magnitudes add up to at
+# most this is exact on int64 words, in any order.
+_WORD_MAX = 2 ** 63 - 1
+# Most words of X's Toeplitz stack that one word product holds at once
+# (:func:`_word_side`); it bounds the workspace on long thin shapes.
+_WORD_STACK_BUDGET = 1 << 16
+
+
+def _words(a: np.ndarray):
+    """(A, max|A|) for an object array A of ints, A as int64; None if an entry does not fit."""
+    try:
+        w = np.asarray(a, dtype=np.int64)
+    except OverflowError:
+        return None
+    # |-2^63| wraps to -2^63 in int64, which reads as 2^63 unsigned.
+    return w, int(np.abs(w).view(np.uint64).max())
+
+
+def _word_side(x: np.ndarray, nr: int, rows: int, cols: int) -> tuple:
+    """(X, shifts, cols, Xs): X's side of the word product R <> X on a rows x cols window.
+
+    R has nr columns.  shifts[i, l] = mx - 1 + i - l, l < mx = min(M_x,
+    rows), is the row holding R[i-l] in R padded with mx - 1 zero rows
+    on top (and zero rows below, to rows + mx - 1 in all).  Xs stacks
+    X's Toeplitz blocks T_l, l < mx, each nr x cols
+    (:func:`_toeplitz_stack`): built here when it holds at most
+    _WORD_STACK_BUDGET words, else None, and each product builds it in
+    strips of columns that do.
+    """
+    mx = min(x.shape[0], rows)
+    shifts = np.subtract.outer(np.arange(mx - 1, mx - 1 + rows), np.arange(mx))
+    xs = _toeplitz_stack(x[:mx], nr, cols) if mx * nr * cols <= _WORD_STACK_BUDGET else None
+    return x[:mx], shifts, cols, xs
+
+
+def _word_product(padded: np.ndarray, side: tuple, out=None) -> np.ndarray:
+    """R <> X on int64 words: S @ Xs with S[i, (l, q)] = R[i-l, q], gathered from padded R.
+
+    One gather of R's row shifts and one matmul with X's stack, or one
+    per strip of columns (:func:`_word_side`).  Each entry sums the
+    products of the definition plus exact zeros, so when their
+    magnitudes add up to at most _WORD_MAX it is exact.
+    """
+    x, shifts, cols, xs = side
+    s = padded[shifts].reshape(shifts.shape[0], -1)
+    if xs is not None:
+        return np.matmul(s, xs, out=out)
+    if out is None:
+        out = np.empty((shifts.shape[0], cols), dtype=np.int64)
+    step = max(1, _WORD_STACK_BUDGET // s.shape[1])
+    for j0 in range(0, cols, step):
+        j1 = min(j0 + step, cols)
+        out[:, j0:j1] = s @ _toeplitz_stack(x, padded.shape[1], cols, j0, j1)
+    return out
+
+
+def _toeplitz_rows(a: np.ndarray, nb: int, cols: int, j0: int = 0, j1: Optional[int] = None):
+    """(padded, index) with ``padded[l, index]`` = T_l[:, j0:j1], T_l[m, j] = a[l, j-m].
 
     T_l is the nb x cols upper-triangular Toeplitz block of row l of A,
     zero off A's columns; ``padded`` is A's rows, zero-padded on the left,
-    of A's dtype.
+    of A's dtype.  The index covers columns j0 to j1 (default: all).
     """
     ma, na = a.shape
     padded = np.zeros((ma, nb + cols), dtype=a.dtype)
     padded[:, nb:nb + min(na, cols)] = a[:, :cols]
-    return padded, nb + np.arange(cols) - np.arange(nb)[:, None]
+    j1 = cols if j1 is None else j1
+    return padded, np.add.outer(np.arange(nb, 0, -1), np.arange(j0, j1))
+
+
+def _toeplitz_stack(a: np.ndarray, nb: int, cols: int, j0: int = 0,
+                    j1: Optional[int] = None) -> np.ndarray:
+    """Columns j0 to j1 (default: all) of the blocks T_l (:func:`_toeplitz_rows`), l < M, stacked."""
+    padded, toeplitz = _toeplitz_rows(a, nb, cols, j0, j1)
+    return np.take(padded, toeplitz, axis=1).reshape(a.shape[0] * nb, toeplitz.shape[1])
 
 
 def _gemm_window(a: np.ndarray, b: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -608,9 +694,8 @@ def _gemm_chain(cs: list, x: np.ndarray) -> np.ndarray:
     # Run p holds the g blocks T_l with p g <= l < (p+1) g, zero past l = M-1.
     runs = -(-m // max(1, _CHAIN_RUN // n))
     g = -(-m // runs)
-    padded, toeplitz = _toeplitz_rows(x, n, n)
     xs = np.zeros((runs * g * n, n), dtype=x.dtype)
-    xs[:m * n] = np.take(padded, toeplitz, axis=1).reshape(m * n, n)
+    xs[:m * n] = _toeplitz_stack(x, n, n)
     xs = xs.reshape(runs, g * n, n)
     h = max(1, min(m, _CHAIN_GATHER_BUDGET // (m * n)))
     top = h + g - 2
@@ -775,8 +860,7 @@ def _power_solve(a: ConvMatrix, alpha: float, b00: complex) -> ConvMatrix:
     else:
         num, arr = complex, arr.astype(np.complex128, copy=False)
     m, n = arr.shape
-    padded, toeplitz = _toeplitz_rows(arr[1:], n, n)
-    ts = np.take(padded, toeplitz, axis=1).reshape((m - 1) * n, n)
+    ts = _toeplitz_stack(arr[1:], n, n)
     a0, inv00, up = arr[0].tolist(), 1 / num(arr[0, 0]), alpha + 1
     b = np.empty((m, n), dtype=arr.dtype)
     row = [b00]
@@ -826,14 +910,6 @@ def _int_inverse(na: list, da: int) -> tuple:
         for i, t in zip(cells, sums):
             nb[i][s - i] = -sign * t // g
     return nb, den
-
-
-def _lowest_rows(rows: list, den: int) -> tuple:
-    """Rows of ints over den > 0, with their content gcd divided out."""
-    g = math.gcd(den, *itertools.chain.from_iterable(rows))
-    if g == 1:
-        return rows, den
-    return [[v // g for v in row] for row in rows], den // g
 
 
 def conv_inverse_ch(a: ConvMatrix) -> ConvMatrix:
@@ -890,13 +966,22 @@ def ring_taylor(coeffs: Iterable, x: ConvMatrix) -> ConvMatrix:
     order M+N-1 give the zero matrix exactly.
 
     On the rational backend X's numerators Nx over dx are read once, and
-    R is held as rows of ints over a running denominator D.  A step is
-    one :func:`_int_window` of R and Nx, over D dx; the add of
-    c_l = p / q at the origin, over lcm(D dx, q); and one content-gcd
-    pass.  At a zero origin step l sums only anti-diagonals
-    i+j <= M+N-2-l, all R_0 needs: (R <> X)[i, j] reads R on lower
-    anti-diagonals, save the zero product R[i, j] X[0, 0].  Skipped
-    entries stay zero, and the result, exact and in lowest terms, is the
+    R is held as integers over a running denominator D
+    (:func:`_rational_chain`).  A step is R <> Nx, over D dx; the rescale
+    by f to lcm(D dx, q) and the add of c_l = p / q at the origin; and
+    one content-gcd pass.  R starts in int64 words, with Nx's Toeplitz
+    blocks stacked once per chain.  A step's product is one gather of R's
+    row shifts and one int64 matmul while max|R| max|Nx| M N <= 2^63 - 1,
+    and its rescale and add stay on words while
+    max|R <> Nx| f + |add| <= 2^63 - 1.  At the first check that fails
+    (or if an entry of Nx or a coefficient's numerator does not fit an
+    int64), R goes to Python ints and the chain finishes on
+    :func:`_int_window`.  The route changes no value: both are exact.
+    At a zero origin step l needs only anti-diagonals i+j <= M+N-2-l,
+    all R_0 reads: (R <> X)[i, j] reads R on lower anti-diagonals, save
+    the zero product R[i, j] X[0, 0].  The loop sums only those; the
+    word product computes all and zeroes the rest, so each step's R is
+    the loop's, and the result, exact and in lowest terms, is the
     uncapped loop's.  The cap is rational-only; complex steps are full.
     A tall X runs on its transpose, as in :func:`_conv_window`.
     """
@@ -906,22 +991,71 @@ def ring_taylor(coeffs: Iterable, x: ConvMatrix) -> ConvMatrix:
     if x.scalar == COMPLEX:
         return _matrix(_gemm_chain(cs, x._array).copy(), COMPLEX)
     tall = x.rows > x.cols
-    nx, dx = (x._array.T if tall else x._array).tolist(), x._den
-    rows, cols = len(nx), len(nx[0])
-    full, nilpotent = rows + cols - 2, nx[0][0] == 0
-    r = [[0] * cols for _ in range(rows)]
-    r[0][0], den = cs[-1].numerator, cs[-1].denominator
+    r, den = _rational_chain(cs, x._array.T if tall else x._array, x._den)
+    return _matrix(r.T if tall else r, RATIONAL, den)
+
+
+def _rational_chain(cs: list, nx: np.ndarray, dx: int) -> tuple:
+    """(N, den): :func:`ring_taylor` of Fractions cs at X = nx / dx, nx wide (rows <= cols).
+
+    R is held in int64 words, inside a buffer with M - 1 zero rows on top
+    that :func:`_word_product` gathers its row shifts from, while two
+    checks prove each step exact: the product bound
+    max|R| max|X| M N <= _WORD_MAX, then the rescale and origin add,
+    max|R <> X| f + |add| <= _WORD_MAX.  max|R <> X| is read from the
+    product; the next max|R| is bounded by (max|R <> X| f + |add|) / g,
+    g the content gcd divided out.  At the first check that fails R
+    goes to Python ints, and the chain finishes on :func:`_int_window`.
+    The rescale and the add are the same array operations on either
+    dtype.
+    """
+    rows, cols = nx.shape
+    full, nilpotent = rows + cols - 2, nx[0, 0] == 0
+    words, xl = _words(nx), nx.tolist()
+    den, rmax = cs[-1].denominator, abs(cs[-1].numerator)
+    if words is not None and rmax <= _WORD_MAX:
+        wx, xmax = words
+        side = _word_side(wx, cols, rows, cols)
+        diagonal = np.add.outer(np.arange(rows), np.arange(cols))
+        padded = np.zeros((2 * rows - 1, cols), dtype=np.int64)
+        r = padded[rows - 1:]
+    else:
+        r = np.zeros((rows, cols), dtype=object)
+    r[0, 0] = cs[-1].numerator
     for l in range(len(cs) - 2, -1, -1):
-        r = _int_window(r, nx, rows, cols, full - l if nilpotent else None)
+        top = full - l if nilpotent else full
+        if r.dtype != object and rmax * xmax * rows * cols <= _WORD_MAX:
+            _word_product(padded, side, out=r)
+            if top < full:
+                r[diagonal > top] = 0
+            rmax = int(np.abs(r).max())
+        else:
+            r = np.array(_int_window(r.tolist(), xl, rows, cols, top), dtype=object)
         c, den = cs[l], den * dx
         common = math.lcm(den, c.denominator)
-        if common != den:
-            r = [[v * (common // den) for v in row] for row in r]
+        f, add = common // den, c.numerator * (common // c.denominator)
+        if r.dtype != object:
+            rmax = rmax * f + abs(add)
+            # f itself must fit a word to scale R by it.
+            if rmax > _WORD_MAX or f > _WORD_MAX:
+                r = r.astype(object)
+        if f != 1:
+            r *= f
             den = common
-        r[0][0] += c.numerator * (den // c.denominator)
-        r, den = _lowest_rows(r, den)
-    r = np.array(r, dtype=object)
-    return _matrix(r.T if tall else r, RATIONAL, den)
+        r[0, 0] += add
+        if r.dtype == object:
+            g = math.gcd(den, *r.flat)
+            if g != 1:
+                r //= g
+        else:
+            content = int(np.gcd.reduce(r, axis=None))
+            g = math.gcd(den, content)
+            # A zero R gives g = den, which need not fit a word.
+            if content and g != 1:
+                r //= g
+            rmax //= g
+        den //= g
+    return r.astype(object, copy=False), den
 
 
 def matrices_close(a: ConvMatrix, b: ConvMatrix, tol: float = 1e-12) -> bool:

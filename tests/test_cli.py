@@ -341,6 +341,15 @@ class TestSuites:
             err = capsys.readouterr().err
             assert err.startswith("error: --tol") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("name", sorted(cli.SUITES))
+    def test_counts_below_one_name_the_flag(self, name, capsys):
+        # A suite run on no size or no trial would report success after checking nothing.
+        for flag, value in (("--n", "0"), ("--n", "-2"), ("--trials", "0")):
+            assert main(["suite", name, flag, value]) == 2
+            captured = capsys.readouterr()
+            assert not captured.out
+            assert captured.err == f"error: {flag} must be >= 1, got {value}\n"
+
     def test_seed_recorded_in_report(self, capsys):
         assert main(["suite", "bruhat", "--n", "3", "--seed", "77"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -369,14 +369,18 @@ def _complex_matrix(rng, m, n):
     return ConvMatrix.from_numpy(rng.uniform(-1, 1, (m, n)) + 1j * rng.uniform(-1, 1, (m, n)))
 
 
-def _horner_reference(coeffs, x):
-    """ring_taylor without the anti-diagonal cap: one full ``conv`` per Horner step."""
+def _horner_reference(coeffs, x, product=conv):
+    """ring_taylor without the anti-diagonal cap: one full ``product`` per Horner step.
+
+    With ``product=_conv_reference`` every step is a Fraction double sum,
+    independent of the library's integer routes.
+    """
     cs = [numerics.coerce(c, x.scalar) for c in coeffs]
     if not cs:
         return ConvMatrix.zeros(x.rows, x.cols, x.scalar)
     result = scale(cs[-1], conv_identity(x.rows, x.cols, x.scalar))
     for c in reversed(cs[:-1]):
-        prod = conv(result, x)
+        prod = product(result, x)
         first = (prod.data[0][0] + c,) + prod.data[0][1:]
         result = ConvMatrix(x.rows, x.cols, (first,) + prod.data[1:], x.scalar)
     return result
@@ -597,20 +601,26 @@ class TestExactOracles:
     @pytest.mark.parametrize("shape", [(24, 2), (2, 24), (12, 3), (5, 5), (64, 1)])
     def test_integer_routes_run_wide(self, shape, monkeypatch):
         # A tall shape runs on its transpose (both products commute with it); results are exact.
+        # The spy records the orientation of each loop and each word product (rows <= cols).
         rng = random.Random(shape[0] * 67 + shape[1])
         a, b = rand_invertible_matrix(rng, *shape), rand_rational_matrix(rng, *shape)
         cs = [rand_fraction(rng) for _ in range(sum(shape) - 1)]
-        wide = []
+        wide = {"loop": [], "word": []}
         for name in ("_int_window", "_int_inverse"):
             route = getattr(conv_core, name)
             monkeypatch.setattr(conv_core, name, lambda x, *rest, route=route:
-                                wide.append(len(x) <= len(x[0])) or route(x, *rest))
+                                wide["loop"].append(len(x) <= len(x[0])) or route(x, *rest))
+        word = conv_core._word_product
+        monkeypatch.setattr(conv_core, "_word_product", lambda padded, side, out=None:
+                            wide["word"].append(side[1].shape[0] <= side[2])
+                            or word(padded, side, out))
         self._assert_routes(a, cs)
         assert conv(a, b) == _conv_reference(a, b) == transpose(conv(transpose(a), transpose(b)))
         padded = conv_core.padded_conv(a, b)
         assert padded == transpose(conv_core.padded_conv(transpose(a), transpose(b)))
         assert ConvMatrix.rational([row[:shape[1]] for row in padded.data[:shape[0]]]) == conv(a, b)
-        assert wide and all(wide)
+        assert wide["loop"] and wide["word"]
+        assert all(wide["loop"]) and all(wide["word"])
 
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from([(1, 1), (3, 3), (1, 6), (6, 1), (4, 3)]), st.data())
@@ -623,6 +633,219 @@ class TestExactOracles:
     def test_zero_rows_strategy(self, shape, data):
         a = _invertible(data.draw(with_zero_rows(rational_matrices(shape, huge_fraction))))
         self._assert_routes(a, data.draw(st.lists(small_fraction, min_size=0, max_size=sum(shape))))
+
+
+# The largest int64: the word route's bound on max|a| max|b| terms.
+WORD_MAX = 2 ** 63 - 1
+
+
+def _padded_reference(a, b):
+    """padded_conv as the Fraction double sum of the operands zero-padded to the full window."""
+    rows, cols = a.rows + b.rows - 1, a.cols + b.cols - 1
+
+    def pad(m):
+        return ConvMatrix.rational([list(row) + [0] * (cols - m.cols) for row in m.data]
+                                   + [[0] * cols] * (rows - m.rows))
+
+    return _conv_reference(pad(a), pad(b))
+
+
+def _filled(rows, cols, value):
+    return ConvMatrix.rational([[value] * cols for _ in range(rows)])
+
+
+class TestWordRoute:
+    """Rational windows and Horner steps run on int64 words exactly when a bound proves them exact.
+
+    The spy records "word" for each :func:`conv_core._word_product` and
+    "loop" for each :func:`conv_core._int_window`.  Every result is == the
+    Fraction oracles, whichever route ran.
+    """
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        seen = []
+        for name, tag in (("_word_product", "word"), ("_int_window", "loop")):
+            route = getattr(conv_core, name)
+            monkeypatch.setattr(conv_core, name, lambda *args, route=route, tag=tag, **kw:
+                                seen.append(tag) or route(*args, **kw))
+        return seen
+
+    @staticmethod
+    def _fraction_horner(cs, x):
+        return _horner_reference(cs, x, _conv_reference)
+
+    # 21870289 * 60247241209 * 7 = 2^63 - 1;  2^30 * 2^30 * 8 = 2^63.
+    @pytest.mark.parametrize("rows, cols, amax, bmax", [
+        (1, 7, 21870289, 60247241209), (7, 1, 21870289, 60247241209),
+        (2, 4, 2 ** 30, 2 ** 30), (4, 2, 2 ** 30, 2 ** 30),
+    ])
+    def test_window_bound(self, rows, cols, amax, bmax, routes):
+        # Every product is max|a| max|b|, so the last entry sums to the bound itself.
+        bound = amax * bmax * rows * cols
+        assert bound in (WORD_MAX, WORD_MAX + 1)
+        for sa, sb in ((1, 1), (-1, 1), (-1, -1)):
+            a, b = _filled(rows, cols, sa * amax), _filled(rows, cols, sb * bmax)
+            got = conv(a, b)
+            assert got == _conv_reference(a, b)
+            assert got[rows - 1, cols - 1] == sa * sb * bound
+        assert routes == ["word" if bound == WORD_MAX else "loop"] * 3
+
+    @pytest.mark.parametrize("big", [WORD_MAX, -WORD_MAX, 2 ** 63, -2 ** 63, -2 ** 63 - 1, 2 ** 64])
+    def test_operand_numerators_at_the_word_edge(self, big, routes):
+        # Over 1x1 operands the bound is |big|: words up to 2^63 - 1; 2^63 and more is the loop,
+        # whether the entry fits an int64 (-2^63) or not.
+        fits = abs(big) <= WORD_MAX
+        a, one = ConvMatrix.rational([[big]]), ConvMatrix.rational([[1]])
+        assert conv(a, one) == conv(one, a) == a
+        assert conv(a, -one) == _conv_reference(a, -one)
+        row = ConvMatrix.rational([[big, 1, -1]])
+        assert conv_core.padded_conv(row, one) == _padded_reference(row, one) == row
+        assert routes == ["word" if fits else "loop"] * 4
+        routes.clear()
+        # A zero operand bounds every product by 0: only an entry no int64 holds runs the loop.
+        zero = ConvMatrix.zeros(1, 1)
+        assert conv(a, zero) == zero
+        assert routes == ["word" if -2 ** 63 <= big <= WORD_MAX else "loop"]
+        routes.clear()
+        for cs in ([0, 1], [3, 1], [Fraction(1, 2), -1, 1]):
+            assert ring_taylor(cs, a) == self._fraction_horner(cs, a)
+        assert routes[0] == ("word" if fits else "loop")
+
+    @pytest.mark.parametrize("rows, cols, k", [
+        (1, 7, WORD_MAX // 7), (7, 1, WORD_MAX // 7), (2, 4, 2 ** 60), (4, 2, 2 ** 60),
+    ])
+    def test_chain_step_bound(self, rows, cols, k, routes):
+        # k X <> X at X = ones: max|R| max|X| M N = 7k = 2^63 - 1 runs on words,
+        # and 8k = 2^63 on the loop.
+        x, cs = _filled(rows, cols, 1), [0, 0, k]
+        got = ring_taylor(cs, x)
+        assert got == self._fraction_horner(cs, x)
+        assert got[rows - 1, cols - 1] == k * rows * cols
+        assert routes == ["word" if k * rows * cols == WORD_MAX else "loop"] * 2
+
+    @pytest.mark.parametrize("k, third", [(WORD_MAX // 49, "word"), (WORD_MAX // 49 + 1, "loop")])
+    def test_chain_bound_reads_the_largest_entry(self, k, third, routes):
+        # Before step 3, R = k X^2 = [k, 2k, ..., 7k]: its one largest entry sets the bound 49k.
+        x, cs = _filled(1, 7, 1), [0, 0, 0, k]
+        assert ring_taylor(cs, x) == self._fraction_horner(cs, x)
+        assert routes == ["word", "word", third]
+
+    def test_capped_entries_are_zeroed(self, routes):
+        # At G = [[0, v, v]] the term k G^4 is 0, and the cap zeroes every entry of its steps.
+        # Uncapped, R would be k G, then k G^2 with max|R| max|G| M N = 3 * 2^63 at the third step.
+        v, k = 2 ** 10, 2 ** 33
+        g, cs = ConvMatrix.rational([[0, v, v]]), [1, 2, 3, 0, k]
+        assert ring_taylor(cs, g) == self._fraction_horner(cs, g)
+        assert routes == ["word"] * 4
+
+    def test_chain_bound_after_content_gcd(self, routes):
+        # Step 1: 2k I <> X = 3k ones over 1 once the gcd 2 is divided out, so max|R| = 3k.
+        # Step 2: 3k * 3 * 7 > 2^63 - 1 >= 2k * 3 * 7: the first step fits a word, the second not.
+        k = WORD_MAX // 42
+        x, cs = _filled(1, 7, Fraction(3, 2)), [0, 0, 2 * k]
+        assert ring_taylor(cs, x) == self._fraction_horner(cs, x)
+        assert routes == ["word", "loop"]
+
+    def test_middle_step_overflows(self, routes):
+        # R grows by about 2^22 a step: two steps fit a word, the third does not,
+        # and the chain finishes on the loop.
+        a = ConvMatrix.rational([[Fraction(2 ** 20, 3), 2 ** 20], [-2 ** 20, Fraction(2 ** 20, 7)]])
+        cs = [1, Fraction(1, 3), -2, Fraction(5, 2), 1, 1]
+        assert ring_taylor(cs, a) == self._fraction_horner(cs, a)
+        assert routes == ["word", "word", "loop", "loop", "loop"]
+
+    @pytest.mark.parametrize("x, cs, word", [
+        # the origin add: R <> X = x, then + 1
+        (WORD_MAX - 1, [1, 1], True), (WORD_MAX, [1, 1], False),
+        # the lcm rescale: R <> X = x over 1, then c = 1/2 scales it by 2 and adds 1
+        (2 ** 62 - 1, [Fraction(1, 2), 1], True), (2 ** 62, [Fraction(1, 2), 1], False),
+    ])
+    def test_only_the_rescale_or_the_add_overflows(self, x, cs, word, routes):
+        # The product fits a word; the result is x f + add = 2^63 - 1 or 2^63, exact either way.
+        a = ConvMatrix.rational([[x]])
+        assert ring_taylor(cs, a) == self._fraction_horner(cs, a)
+        assert routes == ["word"]
+        routes.clear()
+        # One more step runs on the loop, R being past a word either way.
+        longer = [3] + cs
+        assert ring_taylor(longer, a) == self._fraction_horner(longer, a)
+        assert routes == ["word", "loop"]
+        assert (ring_taylor(cs, a)[0, 0] * Fraction(cs[0]).denominator == WORD_MAX) == word
+
+    @pytest.mark.parametrize("ashape, bshape", [
+        ((3, 5), (4, 2)), ((1, 6), (5, 1)), ((5, 1), (4, 2)), ((2, 2), (6, 3)), ((1, 1), (3, 4)),
+    ])
+    def test_padded_unequal_shapes(self, ashape, bshape, routes):
+        rng = random.Random(ashape[0] * 7 + ashape[1] * 5 + bshape[0] * 3 + bshape[1])
+        a, b = rand_rational_matrix(rng, *ashape), rand_rational_matrix(rng, *bshape)
+        assert conv_core.padded_conv(a, b) == _padded_reference(a, b)
+        assert conv_core.padded_conv(b, a) == _padded_reference(b, a)
+        assert routes == ["word", "word"]
+        routes.clear()
+        wide = scale(Fraction(10 ** 30, 7), a)
+        assert conv_core.padded_conv(wide, b) == _padded_reference(wide, b)
+        assert routes == ["loop"]
+
+    @pytest.mark.parametrize("budget", [1, 7, 40])
+    @pytest.mark.parametrize("shape", [(1, 9), (3, 5), (4, 4), (6, 2)])
+    def test_stack_strips(self, shape, budget, monkeypatch, routes):
+        # A stack past the budget is built in strips of columns: same results, on words.
+        monkeypatch.setattr(conv_core, "_WORD_STACK_BUDGET", budget)
+        rng = random.Random(budget * 31 + shape[0] * 7 + shape[1])
+        a, b = rand_invertible_matrix(rng, *shape), rand_rational_matrix(rng, *shape)
+        cs = [rand_fraction(rng) for _ in range(sum(shape))]
+        assert conv(a, b) == _conv_reference(a, b)
+        assert conv_core.padded_conv(a, b) == _padded_reference(a, b)
+        for x in (nilpotent_part(a), a):
+            assert ring_taylor(cs, x) == self._fraction_horner(cs, x)
+        assert routes and set(routes) == {"word"}
+
+    @pytest.mark.parametrize("shape", [(1, 3000), (3000, 1)])
+    def test_thin_workspace_bounded(self, shape, routes):
+        # Whole, the stack of a 1 x 3000 product would be 3000 x 3000 words (72 MB).
+        rng = random.Random(shape[0])
+        a, b = rand_invertible_matrix(rng, *shape), rand_rational_matrix(rng, *shape)
+        cs = [rand_fraction(rng) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            got = conv(a, b), ring_taylor(cs, nilpotent_part(a))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2 ** 20
+        assert routes == ["word"] * 3
+        # np.convolve sums Python ints on object arrays, exactly; every denominator divides 12.
+        av, bv = (np.array([int(v * 12) for row in m.to_lists() for v in row], dtype=object)
+                  for m in (a, b))
+        want = [Fraction(v, 144) for v in np.convolve(av, bv)[:3000]]
+        assert got[0] == ConvMatrix.rational(np.reshape(want, shape).tolist())
+        g = nilpotent_part(a)
+        assert got[1] == add(scale(cs[0], conv_identity(*shape)),
+                             add(scale(cs[1], g), scale(cs[2], conv(g, g))))
+
+    def test_coprime_matrices_stay_on_the_loop(self, routes):
+        # A distinct prime denominator per entry: the numerators over their lcm pass 2^63.
+        rng = random.Random(101)
+        a, b = coprime_matrix(rng, 12, 12), coprime_matrix(rng, 12, 12)
+        assert conv(a, b) == _conv_reference(a, b)
+        g = nilpotent_part(coprime_matrix(rng, 8, 8))
+        cs = [rand_fraction(rng) for _ in range(4)]
+        assert ring_taylor(cs, g) == self._fraction_horner(cs, g)
+        assert routes == ["loop"] * 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(1, 1), (2, 2), (1, 5), (5, 1), (3, 4)]),
+           st.sampled_from([8, 28, 29, 30, 31, 32, 61, 62, 63, 64]), st.data())
+    def test_entries_around_the_bound(self, shape, bits, data):
+        entry = st.builds(Fraction, st.integers(-2 ** bits, 2 ** bits), st.integers(1, 3))
+        a = data.draw(rational_matrices(shape, entry))
+        b = data.draw(rational_matrices(shape, entry))
+        assert conv(a, b) == _conv_reference(a, b)
+        assert conv_core.padded_conv(a, b) == _padded_reference(a, b)
+        cs = data.draw(st.lists(entry, min_size=2, max_size=sum(shape) + 1))
+        for x in (nilpotent_part(a), a):
+            assert ring_taylor(cs, x) == self._fraction_horner(cs, x)
 
 
 class TestRationalFloatReads:
