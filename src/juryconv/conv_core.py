@@ -41,10 +41,11 @@ when a bound read from the operands proves every sum fits:
 max|N_a| max|N_b| terms <= 2^63 - 1, terms being the most products in
 one entry.  Otherwise, and whenever an entry does not fit an int64,
 they run on Python ints (the loop, :func:`_int_window`).  On the
-complex backend it is a sum of BLAS products with Toeplitz blocks
-(:func:`_gemm_window`), with an entrywise error bound and exact
-structural zeros; the complex kernels compute in ``float64`` when every
-operand and coefficient is real, and in ``complex128`` otherwise.  The
+complex backend it is one BLAS product of B's row shifts with the
+Toeplitz blocks of each run of A's rows (:func:`_gemm_window`), with an
+entrywise error bound and exact structural zeros; the complex kernels
+compute in ``float64`` when every operand and coefficient is real, and
+in ``complex128`` otherwise.  The
 ring product :func:`conv` is its M x N window and is defined only for
 equal shapes; the padded, shape-growing product :func:`padded_conv` is
 its (M1+M2-1) x (N1+N2-1) window, re-exported by
@@ -66,6 +67,7 @@ ints over one running denominator (:func:`_int_inverse`).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -491,7 +493,8 @@ def _conv_window(a: np.ndarray, b: np.ndarray, rows: int, cols: int) -> np.ndarr
     :func:`_gemm_window` (complex chains run :func:`_gemm_chain`, which
     sums the same products per entry), in ``float64`` when both operands
     are real and in ``complex128`` otherwise.  Each entry sums the
-    k <= M*N products a[l, k] b[i-l, j-k] of the definition, in BLAS's
+    k <= M*N products a[l, k] b[i-l, j-k] of the definition, in runs of
+    at most max(_CHAIN_RUN, nb) summed in BLAS's order and added in
     order, plus products with an exact zero, which add nothing.  Hence:
 
     - the error is entrywise, |fl(A<>B) - A<>B| <= gamma_(k+2) (|A| <> |B|)
@@ -575,16 +578,15 @@ def _words(a: np.ndarray):
 def _word_side(x: np.ndarray, nr: int, rows: int, cols: int) -> tuple:
     """(X, shifts, cols, Xs): X's side of the word product R <> X on a rows x cols window.
 
-    R has nr columns.  shifts[i, l] = mx - 1 + i - l, l < mx = min(M_x,
-    rows), is the row holding R[i-l] in R padded with mx - 1 zero rows
-    on top (and zero rows below, to rows + mx - 1 in all).  Xs stacks
-    X's Toeplitz blocks T_l, l < mx, each nr x cols
+    R has nr columns.  shifts = _row_shifts(rows, mx), mx = min(M_x, rows),
+    reads R from a copy with mx - 1 zero rows on top and rows + mx - 1
+    rows in all.  Xs stacks X's Toeplitz blocks T_l, l < mx, each nr x cols
     (:func:`_toeplitz_stack`): built here when it holds at most
     _WORD_STACK_BUDGET words, else None, and each product builds it in
     strips of columns that do.
     """
     mx = min(x.shape[0], rows)
-    shifts = np.subtract.outer(np.arange(mx - 1, mx - 1 + rows), np.arange(mx))
+    shifts = _row_shifts(rows, mx)
     xs = _toeplitz_stack(x[:mx], nr, cols) if mx * nr * cols <= _WORD_STACK_BUDGET else None
     return x[:mx], shifts, cols, xs
 
@@ -610,18 +612,37 @@ def _word_product(padded: np.ndarray, side: tuple, out=None) -> np.ndarray:
     return out
 
 
-def _toeplitz_rows(a: np.ndarray, nb: int, cols: int, j0: int = 0, j1: Optional[int] = None):
-    """(padded, index) with ``padded[l, index]`` = T_l[:, j0:j1], T_l[m, j] = a[l, j-m].
+def _toeplitz_rows(a: np.ndarray, nb: int, cols: int, j0: int = 0, j1: Optional[int] = None,
+                   g: int = 1):
+    """(padded, index): ``padded[l:l+g].take(index)`` stacks T_(l+t)[:, j0:j1], t < g, T_l[m, j] = a[l, j-m].
 
     T_l is the nb x cols upper-triangular Toeplitz block of row l of A,
-    zero off A's columns; ``padded`` is A's rows, zero-padded on the left,
-    of A's dtype.  The index covers columns j0 to j1 (default: all).
+    zero off A's columns; ``padded`` is A's rows, zero-padded on the left
+    and below to a multiple of g rows, of A's dtype.  The index covers
+    columns j0 to j1 (default: all); at g = 1 ``padded[l, index]`` is T_l.
     """
     ma, na = a.shape
-    padded = np.zeros((ma, nb + cols), dtype=a.dtype)
-    padded[:, nb:nb + min(na, cols)] = a[:, :cols]
-    j1 = cols if j1 is None else j1
-    return padded, np.add.outer(np.arange(nb, 0, -1), np.arange(j0, j1))
+    padded = np.zeros((-(-ma // g) * g, nb + cols), dtype=a.dtype)
+    padded[:ma, nb:nb + min(na, cols)] = a[:, :cols]
+    index = _toeplitz_index(nb, (cols if j1 is None else j1) - j0, g, nb + cols)
+    return padded, index + j0 if j0 else index
+
+
+@functools.lru_cache(maxsize=64)
+def _toeplitz_index(nb: int, cols: int, g: int, width: int) -> np.ndarray:
+    """index[(t, m), j] = t width + nb - m + j: a[l+t, j-m] in g padded rows of ``width``, read-only."""
+    index = np.add.outer(np.arange(0, g * width, width), np.add.outer(np.arange(nb, 0, -1), np.arange(cols)))
+    index = index.reshape(g * nb, cols)
+    index.flags.writeable = False
+    return index
+
+
+@functools.lru_cache(maxsize=64)
+def _row_shifts(rows: int, g: int) -> np.ndarray:
+    """shifts[i, t] = g - 1 + i - t, i < rows, t < g: the row of R[i-t] in R with g - 1 zero rows on top; read-only."""
+    shifts = np.subtract.outer(np.arange(g - 1, g - 1 + rows), np.arange(g))
+    shifts.flags.writeable = False
+    return shifts
 
 
 def _toeplitz_stack(a: np.ndarray, nb: int, cols: int, j0: int = 0,
@@ -632,32 +653,41 @@ def _toeplitz_stack(a: np.ndarray, nb: int, cols: int, j0: int = 0,
 
 
 def _gemm_window(a: np.ndarray, b: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """The complex window: out[l:l+r] += B[:r] @ T_l over the rows l of A.
+    """The complex window: out[l0:l0+r] += S[:r] @ Xs over the runs [l0, l0+g) of A's rows.
 
-    T_l[m, j] = a[l, j-m] is one gather from a zero-padded copy of row l
-    (:func:`_toeplitz_rows`).  The blocks lie along the shorter output
-    axis (conv commutes with transposition), which bounds the workspace
-    by a few times the output: one block lying along the longer axis of
-    two 1 x 3000 operands would be 3000 x 5999.  Both operands are cast
-    to their common dtype, so a real one meets a complex one as the
-    ``complex128`` product would.
+    S[i, (t, q)] = B[i-t, q], t < g, is gathered once (at g = 1 S is B)
+    and Xs stacks the run's blocks T_l (:func:`_toeplitz_rows`), zero
+    past A's last row: g nb products per entry and run, the runs added
+    in order, within the gamma_(k+2) bound of :func:`_conv_window`.  g
+    is the most rows (at least 1) with g nb <= _CHAIN_RUN and S within
+    _WINDOW_GATHER_BUDGET entries; the blocks lie along the shorter axis
+    (conv commutes with transposition), so the workspace stays a few
+    times the output.  Both operands are cast to their common dtype, so
+    a real one meets a complex one as ``complex128``.
     """
     if cols > rows:
         return _gemm_window(a.T, b.T, cols, rows).T
     dtype = np.result_type(a, b)
-    nb = min(b.shape[1], cols)
-    b = b[:, :nb].astype(dtype, copy=False)
-    padded, toeplitz = _toeplitz_rows(a.astype(dtype, copy=False), nb, cols)
+    ma, nb = min(a.shape[0], rows), min(b.shape[1], cols)
+    g = max(1, min(ma, _CHAIN_RUN // nb, _WINDOW_GATHER_BUDGET // (rows * nb)))
+    rs = min(rows, b.shape[0] + g - 1)
+    s = b[:rs, :nb].astype(dtype, copy=False)
+    if g > 1:
+        shifted = np.zeros((g - 1 + rs, nb), dtype=dtype)
+        shifted[g - 1:g - 1 + len(s)] = s
+        s = shifted[_row_shifts(rs, g)].reshape(rs, g * nb)
+    padded, toeplitz = _toeplitz_rows(a[:ma].astype(dtype, copy=False), nb, cols, g=g)
     out = np.zeros((rows, cols), dtype=dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(min(a.shape[0], rows)):
-            r = min(b.shape[0], rows - l)
-            out[l:l + r] += b[:r] @ padded[l, toeplitz]
+        for l0, run in zip(range(0, ma, g), padded.reshape(-1, g * (nb + cols))):
+            out[l0:l0 + rs] += s[:rows - l0] @ run.take(toeplitz)
     return out
 
 
-# Entries gathered per matmul of a complex Horner step (:func:`_gemm_chain`):
-# it sets the row-block height, so it bounds the workspace on thin shapes.
+# Entries gathered for a complex window (:func:`_gemm_window`), and per
+# matmul of a complex Horner step (:func:`_gemm_chain`, where it sets the
+# row-block height): they bound the workspace on thin shapes.
+_WINDOW_GATHER_BUDGET = 1 << 12
 _CHAIN_GATHER_BUDGET = 1 << 16
 # Most products per entry that one matmul of a complex Horner step sums
 # (:func:`_gemm_chain`); longer sums are split into runs added in order.
@@ -667,22 +697,19 @@ _CHAIN_RUN = 128
 def _gemm_chain(cs: list, x: np.ndarray) -> np.ndarray:
     """Complex Horner R <- R <> X + c I over ``cs`` from the last; R's array.
 
-    X is fixed, so its Toeplitz blocks T_l (:func:`_toeplitz_rows`, here
-    N x N) are gathered once, stacked as one (M N) x N array Xs.  A step
-    is then (R <> X)[i] = S[i] @ Xs with S[i, (l, q)] = R[i-l, q], zero
-    for l > i: the row shifts of R, gathered from a copy with zero rows
-    on top.  Rows [i0, i1) read only l < i1, so each block of rows is
-    one batched matmul with Xs[:i1 N]: the l are split into the fewest
-    even runs of at most _CHAIN_RUN products per entry, one BLAS product
-    per run, and the runs' results are added in order.  That bounds how many
-    products BLAS sums in one run whatever its own blocking (the
-    ``float64`` gemm sums longer runs than the ``complex128`` one, and
-    lost up to half a digit over them).  The block height keeps a
-    block's gather within _CHAIN_GATHER_BUDGET entries; the blocks run
-    bottom-up, so each overwrites rows of R that no later (higher) block
-    reads, in place.  As in :func:`_gemm_window` the blocks lie along the
-    shorter axis.  The chain runs in ``float64`` when X and every
-    coefficient are real, and in ``complex128`` otherwise.
+    X is fixed, so its N x N Toeplitz blocks T_l are stacked once, Xs.
+    A step is (R <> X)[i] = S[i] @ Xs with S[i, (l, q)] = R[i-l, q], the
+    row shifts of R, as in :func:`_gemm_window` (blocks along the
+    shorter axis, the l in the fewest even runs of at most _CHAIN_RUN
+    products per entry, one BLAS product per run, added in order).  The
+    runs bound how many products BLAS sums at once whatever its own
+    blocking (the ``float64`` gemm sums longer runs than the
+    ``complex128`` one, and lost up to half a digit over them).  Rows
+    [i0, i1) read only l < i1, so a block of rows is one batched matmul
+    whose gather holds at most _CHAIN_GATHER_BUDGET entries; the blocks
+    run bottom-up, so each overwrites rows of R that no later (higher)
+    block reads, in place.  The chain runs in ``float64`` when X and
+    every coefficient are real, and in ``complex128`` otherwise.
     """
     m, n = x.shape
     if n > m:
@@ -694,22 +721,21 @@ def _gemm_chain(cs: list, x: np.ndarray) -> np.ndarray:
     # Run p holds the g blocks T_l with p g <= l < (p+1) g, zero past l = M-1.
     runs = -(-m // max(1, _CHAIN_RUN // n))
     g = -(-m // runs)
-    xs = np.zeros((runs * g * n, n), dtype=x.dtype)
-    xs[:m * n] = _toeplitz_stack(x, n, n)
-    xs = xs.reshape(runs, g * n, n)
+    padded, toeplitz = _toeplitz_rows(x, n, n, g=g)
+    xs = np.take(padded.reshape(runs, -1), toeplitz, axis=1)
     h = max(1, min(m, _CHAIN_GATHER_BUDGET // (m * n)))
     top = h + g - 2
     r = np.zeros((top + m, n), dtype=x.dtype)
     r[top, 0] = cs[-1]
-    # shifts[p, s, t] + i0 is the row of r holding R[i0+s-l], l = p g + t (a zero row for l > i0+s).
-    shifts = top + np.arange(h)[:, None] - np.arange(runs * g)
-    shifts = shifts.reshape(h, runs, g).transpose(1, 0, 2)
+    # shifts[p, s, t] + i0 + lift is the row of r holding R[i0+s-l], l = p g + t (a zero row for l > i0+s).
+    shifts = _row_shifts(h, runs * g).reshape(h, runs, g).transpose(1, 0, 2)
+    lift = top - runs * g + 1
     with np.errstate(over="ignore", invalid="ignore"):
         for c in reversed(cs[:-1]):
             for i0 in range((m - 1) // h * h, -1, -h):
                 i1 = min(i0 + h, m)
                 p = -(-i1 // g)
-                parts = r[shifts[:p, :i1 - i0] + i0].reshape(p, i1 - i0, g * n) @ xs[:p]
+                parts = r[shifts[:p, :i1 - i0] + (i0 + lift)].reshape(p, i1 - i0, g * n) @ xs[:p]
                 parts.sum(axis=0, out=r[top + i0:top + i1])
             r[top, 0] += c
     return r[top:]

@@ -481,10 +481,14 @@ def series_transform(coeffs: Iterable[float], a: ConvMatrix,
     fold is the unscaled one.
     The fold stops at the truncation index, at stream exhaustion (a
     finite stream IS the series), or -- with no truncation -- once, for
-    several consecutive terms from the first nonzero one on, every
-    increment c_k v_l is at most ``tail_tol`` times its own |d_l|.
-    ``terms_used`` counts the scalar terms folded; ``tail_bound`` is the
-    last one's largest |c_k v_l| / |d_l| (0 if all are 0).  Raises
+    several consecutive nonzero terms from the first one on, every
+    increment c_k v_l is at most ``tail_tol`` times its own |d_l|; a
+    term whose increments are all exactly zero (a coefficient that
+    underflowed, say) neither extends nor breaks that run.  It also
+    stops once v is exactly zero (at a00 = 0 from k = M+N-1), since every
+    later term is then zero.  ``terms_used`` counts the scalar terms
+    folded; ``tail_bound`` is the last nonzero term's largest
+    |c_k v_l| / |d_l|, and 0 if there is none or v vanished.  Raises
     :class:`SeriesDivergenceError` if a d_l or the matrix overflows, or
     the budget runs out first.
     """
@@ -494,7 +498,7 @@ def series_transform(coeffs: Iterable[float], a: ConvMatrix,
     d = np.zeros(work.rows + work.cols - 1)
     v = np.zeros_like(d, dtype=type(a00))
     v[0], e, grow = 1, 0, 2 * abs(a00) + 1
-    tail, small_streak, seen_nonzero, terms = math.inf, 0, False, 0
+    tail, small_streak, terms = 0.0, 0, 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k, c in enumerate(coeffs):
             if truncation is not None and k > truncation:
@@ -519,10 +523,16 @@ def series_transform(coeffs: Iterable[float], a: ConvMatrix,
             d = d + incs
             if not np.isfinite(d).all():
                 raise SeriesDivergenceError(f"series blew up at term {k}: a d_l left float range")
-            tail = float(np.where(incs != 0, np.abs(incs) / np.abs(d), 0.0).max())
             terms = k + 1
-            seen_nonzero = seen_nonzero or bool(incs.any())
-            if truncation is None and seen_nonzero:
+            ratio = float(np.where(incs != 0, np.abs(incs) / np.abs(d), 0.0).max())
+            if ratio or incs.any():
+                tail = ratio
+            elif v.any():
+                continue  # a zero term, such as an underflowed coefficient, says nothing of the tail
+            else:
+                tail = 0.0  # every later term is exactly zero: the fold is complete
+                break
+            if truncation is None:
                 small_streak = small_streak + 1 if tail <= tail_tol else 0
                 if small_streak >= _SMALL_STREAK:
                     break

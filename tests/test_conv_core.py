@@ -1082,6 +1082,64 @@ class TestRealStorage:
         assert abs(hermitian.min_eigenvalue - verdict.min_eigenvalue) <= 1e-14 * verdict.scale
 
 
+class TestGemmWindow:
+    """The complex window: B's row shifts gathered once, one BLAS product per run of A's rows."""
+
+    @staticmethod
+    def _operands(rng, kind, sa, sb):
+        """Real, complex, or a real operand meeting a complex one."""
+        make = {"real": (_real_matrix, _real_matrix), "complex": (_complex_matrix, _complex_matrix),
+                "mixed": (_real_matrix, _complex_matrix)}[kind]
+        return make[0](rng, *sa), make[1](rng, *sb)
+
+    @staticmethod
+    def _assert_bound_and_rerun(product, a, b):
+        got = product(a, b)
+        assert_entrywise_bound(product, a, b, got)
+        # A second call, on the index arrays cached by the first, gives the same bits.
+        assert np.array_equal(_bits(product(a, b)), _bits(got))
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+    @pytest.mark.parametrize("n", [17, 20, 23, 33])
+    def test_runs_that_do_not_divide_m(self, n, kind):
+        # g = 7, 6, 5, 3 rows a run: 17, 20 and 23 end on a short run, padded with zero blocks.
+        rng = np.random.default_rng([n, 113])
+        self._assert_bound_and_rerun(conv, *self._operands(rng, kind, (n, n), (n, n)))
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+    @pytest.mark.parametrize("shape", [(200, 1), (1, 200), (12, 5)])
+    def test_single_row_runs(self, shape, kind, budget, monkeypatch):
+        # Budget 1 forces g = 1 (S is B itself), as at 64x64 or 1 x 3000 by default.
+        if budget:
+            monkeypatch.setattr(conv_core, "_WINDOW_GATHER_BUDGET", budget)
+        rng = np.random.default_rng([*shape, 127])
+        self._assert_bound_and_rerun(conv, *self._operands(rng, kind, shape, shape))
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+    @pytest.mark.parametrize("sa, sb", [((4, 4), (5, 3)), ((9, 3), (1, 24)), ((1, 24), (9, 3)),
+                                        ((7, 2), (3, 11)), ((16, 16), (16, 16))])
+    def test_padded_unequal_shapes(self, sa, sb, kind):
+        rng = np.random.default_rng([*sa, *sb, 131])
+        self._assert_bound_and_rerun(conv_core.padded_conv, *self._operands(rng, kind, sa, sb))
+
+    def test_padded_thin_single_row_runs(self):
+        # A 1 x 3000 padded product: 5999 rows of S would pass the budget, so g = 1.
+        rng = np.random.default_rng(137)
+        a, b = _real_matrix(rng, 1, 3000), _real_matrix(rng, 1, 3000)
+        self._assert_bound_and_rerun(conv_core.padded_conv, a, b)
+
+    def test_index_arrays_cached_read_only(self):
+        shifts, index = conv_core._row_shifts(5, 3), conv_core._toeplitz_index(4, 6, 2, 10)
+        assert shifts is conv_core._row_shifts(5, 3) and index is conv_core._toeplitz_index(4, 6, 2, 10)
+        for arr in (shifts, index):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
+        # shifts[i, t] = 2 + i - t; index[(t, m), j] = 10 t + 4 - m + j.
+        assert shifts.tolist()[4] == [6, 5, 4]
+        assert index[4 + 3, 5] == 10 + 4 - 3 + 5
+
+
 class TestElementwiseOps:
     def test_transpose(self):
         a = ConvMatrix.rational([[1, 2], [3, 4]])

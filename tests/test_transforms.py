@@ -626,6 +626,28 @@ class TestSeriesFold:
         for got, w in zip(result.matrix.data[0], want):
             assert abs(Fraction(complex(got).real) - w) <= Fraction(1, 10 ** 14) * w
 
+    def test_underflowed_stream_is_not_convergence(self):
+        # From k = 178 the terms are exactly 0 while the terms of e^300 still grow: the tail
+        # bound stays the last nonzero term's ratio, far above the tolerance.
+        result = series_transform(self.EXP_400, ConvMatrix.floats([[300.0, 1.0]]))
+        assert result.terms_used == 400
+        assert result.tail_bound > transforms.SERIES_TAIL_TOL
+
+    def test_zero_origin_stops_when_v_vanishes(self):
+        # At a00 = 0, v is 0 from k = M+N-1: an endless stream stops at that term, summed exactly.
+        g = nilpotent_part(sample_psd(3, Interval(1.0), np.random.default_rng([19, 3, 5])))
+
+        def exp_coeffs():
+            k, c = 0, 1.0
+            while True:
+                yield c
+                k += 1
+                c /= k
+
+        result = series_transform(exp_coeffs(), g)
+        assert (result.terms_used, result.tail_bound) == (6, 0.0)
+        assert result.matrix == ring_taylor(self.EXP[:5], g)
+
     @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (5, 5)])
     def test_kernel_calls_fixed_by_shape(self, shape, monkeypatch):
         # Whatever the stream length: one ring_taylor call with M+N-1 coefficients.
